@@ -35,6 +35,7 @@ from .kernel import (
     standard_sequence,
 )
 from .smooth import (
+    _leibniz,
     CompactInterval,
     Domain,
     SmoothFn,
@@ -54,35 +55,21 @@ CHAIN_LOCAL = 1         # output on V depends only on the kernel on V
 CHAIN_POINT_LOCAL = 2   # output at x depends only on the density at x
 CHAIN_POINT_INDEP = 3   # one fixed functional applied to the density at x
 
-_CHAIN_NAMES = ("none", "local", "point-local", "point-independent")
-
 
 @dataclass(frozen=True)
 class LocalityTag:
     """Structural locality bookkeeping for an element.
 
     ``chain`` is a lower bound certified by the construction, not a
-    measurement; ``linear`` means linear in the kernel slot.  Stored
-    smooth-module linearity is rare, but every linear point-local
-    element is smooth-module linear, so the accessor upgrades.
+    measurement; ``linear`` means linear in the kernel slot.
     """
 
     chain: int
     linear: bool
-    cinf_stored: bool = False
-
-    @property
-    def cinf_linear(self) -> bool:
-        return self.cinf_stored or (self.linear and self.chain >= CHAIN_POINT_LOCAL)
-
-    @property
-    def chain_name(self) -> str:
-        return _CHAIN_NAMES[self.chain]
 
     def meet(self, other: "LocalityTag") -> "LocalityTag":
         return LocalityTag(min(self.chain, other.chain),
-                           self.linear and other.linear,
-                           self.cinf_stored and other.cinf_stored)
+                           self.linear and other.linear)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +364,7 @@ def tag_of(R: BasicElement) -> LocalityTag:
         t = tag_of(R.a)
         if R.f.const_value is not None:
             return t
-        return LocalityTag(min(t.chain, CHAIN_POINT_LOCAL), t.linear, t.cinf_stored)
+        return LocalityTag(min(t.chain, CHAIN_POINT_LOCAL), t.linear)
     if isinstance(R, LieHat):
         return tag_of(R.a)
     if isinstance(R, LieTilde):
@@ -707,13 +694,7 @@ class _PatchedKernel(Kernel):
         if not w.any():
             return B
         O = self.other.jets(x, mx, ys, my)
-        out = np.array(B)
-        for i in range(mx + 1):
-            for p in range(i + 1):
-                if w[p] == 0.0:
-                    continue
-                out[i] += math.comb(i, p) * w[p] * (O[i - p] - B[i - p])
-        return out
+        return B + _leibniz(w[:, None, None], O - B)
 
     def y_window(self, x: float) -> CompactInterval:
         return self.base.y_window(x).hull(self.other.y_window(x))

@@ -9,10 +9,11 @@ arguments, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .basic import BasicElement, iota, lie_hat, lie_tilde, sigma
-from .dist import delta, heaviside, pair, regular
+from .dist import delta, heaviside, regular
 from .errors import ConfigError, GFKernelError, ParseError
 from .kernel import (
     DEFAULT_K_GRID,
@@ -28,12 +29,12 @@ from .smooth import (
     constant,
     constant_field,
     exp_fn,
-    integrate,
     polynomial,
     seminorm,
     sin_fn,
 )
 from .testing import (
+    _pairing,
     associated,
     default_family,
     default_region,
@@ -69,12 +70,19 @@ class _Parser:
     call    := iota(dist) | sigma(fn:NAME) | liehat(expr) | lietilde(expr)
              | restrict[a,b](expr)
     dist    := delta(a) | ddelta(a, m) | H | fn:NAME
+
+    Numbers must be finite, points and restriction intervals must lie in
+    the domain, and nesting is capped at ``MAX_DEPTH`` levels, so bad
+    input fails here with a position rather than later in the numerics.
     """
+
+    MAX_DEPTH = 100
 
     def __init__(self, src: str, domain: Domain):
         self.src = src
         self.pos = 0
         self.domain = domain
+        self.depth = 0
 
     # scanning ------------------------------------------------------------
 
@@ -114,9 +122,12 @@ class _Parser:
         if not seen:
             raise ParseError("expected a number", start)
         try:
-            return float(self.src[start:self.pos])
+            val = float(self.src[start:self.pos])
         except ValueError:
             raise ParseError("malformed number", start) from None
+        if not math.isfinite(val):
+            raise ParseError("number is not finite", start)
+        return val
 
     # grammar -------------------------------------------------------------
 
@@ -130,6 +141,9 @@ class _Parser:
         return val
 
     def _expr(self):
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            raise ParseError("expression nested too deeply", self.pos)
         val = self._term()
         while self._peek() and self._peek() in "+-":
             op = self._peek()
@@ -137,6 +151,7 @@ class _Parser:
             rhs = self._term()
             val, rhs = self._promote(val, rhs)
             val = val + rhs if op == "+" else val - rhs
+        self.depth -= 1
         return val
 
     def _term(self):
@@ -200,7 +215,10 @@ class _Parser:
                 raise ParseError("restriction of a bare number", start)
             if not a < b:
                 raise ParseError("empty restriction interval", start)
-            return inner.restrict(Domain.interval(a, b))
+            V = Domain.interval(a, b)
+            if not V.is_subset(inner.domain):
+                raise ParseError("restriction interval leaves the domain", start)
+            return inner.restrict(V)
         raise ParseError(f"unknown name '{word}'", start)
 
     def _dist(self):
@@ -208,12 +226,12 @@ class _Parser:
         word = self._word()
         if word == "delta":
             self._expect("(")
-            a = self._number()
+            a = self._point()
             self._expect(")")
             return delta(a, domain=self.domain)
         if word == "ddelta":
             self._expect("(")
-            a = self._number()
+            a = self._point()
             self._expect(",")
             m = self._number()
             self._expect(")")
@@ -225,6 +243,13 @@ class _Parser:
         if word.startswith("fn:"):
             return regular(self._named(word, start), domain=self.domain)
         raise ParseError(f"unknown distribution '{word}'", start)
+
+    def _point(self) -> float:
+        start = self.pos
+        a = self._number()
+        if not self.domain.contains(a):
+            raise ParseError(f"point {a} is outside the domain", start)
+        return a
 
     def _smooth(self):
         start = self.pos
@@ -346,8 +371,7 @@ def cmd_demo(args) -> int:
     hd = iota(heaviside(dom)) * dl
     phi = TestFn(bump(0.0, 0.8, dom))
     fn = element_family(hd, seq)(ks[-1])
-    got = integrate(lambda x: fn.jet(x, 0) * phi.jet(x, 0),
-                    (-0.8, 0.8), rel_tol=1e-10, abs_tol=1e-13).value
+    got = _pairing(fn, phi)
     print(f"step*delta paired with a bump at k={ks[-1]}: {_fmt(got)}", file=out)
     print(f"  (half the bump's center value: {_fmt(phi.jet(0.0, 0) / 2)})", file=out)
     return 0

@@ -131,10 +131,6 @@ def heaviside(domain: Domain = Domain.interval(-2.0, 2.0), jump_at: float = 0.0)
 # pairing
 
 
-def _density_breaks(fn: SmoothFn) -> tuple[float, ...]:
-    return fn.breaks
-
-
 def pair(u: Distribution, phi) -> PairingReport:
     """<u, phi> for a compactly supported smooth phi.
 
@@ -160,7 +156,7 @@ def pair(u: Distribution, phi) -> PairingReport:
             lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
             if lo >= hi:
                 continue
-        cuts = tuple(b for b in (*_density_breaks(t.fn), *f.breaks) if lo < b < hi)
+        cuts = tuple(b for b in (*t.fn.breaks, *f.breaks) if lo < b < hi)
         dens = t.fn
         res = integrate(lambda xs: dens.jet(xs, 0) * f.jet(xs, 0), (lo, hi),
                         rel_tol=PAIR_REL_TOL, abs_tol=PAIR_ABS_TOL, points=cuts)
@@ -176,61 +172,27 @@ def pair(u: Distribution, phi) -> PairingReport:
 def mollify(u: Distribution, rho: SmoothFn, k: float) -> SmoothFn:
     """The smooth function x -> <u, rho_k(x - .)>, rho_k(t) = k rho(k t).
 
-    Exact in the delta terms: the m-th jet picks up k^(m+n+1) rho^(m+n).
-    Densities integrate over the shifted mollifier window.  If some
-    density has unbounded support the result only lives on the set of x
-    whose window [x - r/k, x + r/k] stays inside the domain.
+    This is :func:`~gfkernel.kernel.apply_kernel` with a translation
+    kernel, so delta terms are exact jets.  If some density has unbounded
+    support the result only lives on the set of x whose window
+    [x - r/k, x + r/k] stays inside the domain.
     """
+    from .kernel import TranslationKernel, apply_kernel
+
     if rho.support is None:
         raise UnboundedSupport("mollifier needs compact support")
-    r = max(abs(rho.support.lo), abs(rho.support.hi))
-    k = float(k)
-    lo, hi = u.domain.hull()
-    unbounded = any(t.fn.support is None for t in u.densities)
-    if unbounded:
-        dlo = lo + r / k if math.isfinite(lo) else lo
-        dhi = hi - r / k if math.isfinite(hi) else hi
-        if not dlo < dhi:
-            raise UnboundedSupport(
-                "domain too small for this mollifier window; supply a cutoff first")
-        dom = Domain.interval(dlo, dhi)
-    else:
-        dom = u.domain
-    cap = rho.jet_cap - u.max_delta_order
-
-    def jet_all(x, m):
-        out = np.zeros((m + 1, x.size))
-        for t in u.deltas:
-            arg = k * (x - t.point)
-            jets = rho.jets(arg, m + t.order)
-            for j in range(m + 1):
-                out[j] += t.coeff * k ** (j + t.order + 1) * jets[j + t.order]
-        for t in u.densities:
-            dens = t.fn
-            for i, xi in enumerate(x):
-                wlo, whi = xi - r / k, xi + r / k
-                if dens.support is not None:
-                    wlo, whi = max(wlo, dens.support.lo), min(whi, dens.support.hi)
-                    if wlo >= whi:
-                        continue
-                cuts = tuple(b for b in dens.breaks if wlo < b < whi)
-                for j in range(m + 1):
-                    kern = lambda ys, jj=j: dens.jet(ys, 0) * (
-                        k ** (jj + 1) * rho.jet(k * (xi - ys), jj))
-                    res = integrate(kern, (wlo, whi), rel_tol=PAIR_REL_TOL,
-                                    abs_tol=PAIR_ABS_TOL, points=cuts)
-                    out[j, i] += t.coeff * res.value
+    ker = TranslationKernel(rho, k, u.domain)
+    out = apply_kernel(ker, u)
+    if all(t.fn.support is not None for t in u.densities):
         return out
-
-    supp = None
-    sd = support_dist(u)
-    if sd and all(math.isfinite(a) and math.isfinite(b) for a, b in sd):
-        supp = CompactInterval(min(a for a, _ in sd) - r / k,
-                               max(b for _, b in sd) + r / k)
-        dl, dh = dom.hull()
-        if not (dl < supp.lo and supp.hi < dh):
-            supp = None
-    return SmoothFn(dom, jet_all, support=supp, jet_cap=cap)
+    lo, hi = u.domain.hull()
+    w = ker.radius_sup()
+    dlo = lo + w if math.isfinite(lo) else lo
+    dhi = hi - w if math.isfinite(hi) else hi
+    if not dlo < dhi:
+        raise UnboundedSupport(
+            "domain too small for this mollifier window; supply a cutoff first")
+    return restrict_view(out, Domain.interval(dlo, dhi))
 
 
 # ---------------------------------------------------------------------------

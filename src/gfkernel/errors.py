@@ -35,20 +35,12 @@ class GapInCover(GFKernelError):
     """The requested cover leaves part of the target set uncovered."""
 
 
-class CoverTooCoarse(GFKernelError):
-    pass
-
-
 class NotContained(GFKernelError):
     """A set inclusion precondition (supp f in V, V in U, ...) failed."""
 
 
 class IncompatiblePieces(GFKernelError):
     """Gluing data disagrees on an overlap."""
-
-
-class BadNesting(GFKernelError):
-    """Cutoff data for an extension does not satisfy W cc W' cc V."""
 
 
 class UnboundedSupport(GFKernelError):
@@ -63,16 +55,16 @@ class NoSeparation(GFKernelError):
     """Sup norms along a kernel sequence fail to separate strictly."""
 
 
-class NotLocal(GFKernelError):
-    """An operation needed at least a local element and got a weaker tag."""
-
-
 class WrongTag(GFKernelError):
     """A reification/coercion was asked for a tag the element does not carry."""
 
 
 class TooFewPoints(GFKernelError):
     pass
+
+
+class NonFiniteSweep(GFKernelError):
+    """A rate sweep produced NaN or infinite values, so no fit means anything."""
 
 
 class NoConvergence(GFKernelError):

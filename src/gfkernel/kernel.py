@@ -7,9 +7,8 @@ the package.  All variants expose exact mixed jets
     jets(x, mx, ys, my)[i, j, n] = d^i/dx^i d^j/dy^j phi(x, y_n),
 
 computed structurally through truncated Taylor series, never by finite
-differences (except the explicit Generic escape hatch).  Exact mixed
-jets are what keep delta pairings and Lie-derivative identities at
-machine precision downstream.
+differences.  Exact mixed jets are what keep delta pairings and
+Lie-derivative identities at machine precision downstream.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .smooth import (
     _FACT,
+    _leibniz,
     _series_compose,
     _series_div,
     _series_mul,
@@ -168,17 +168,6 @@ class Kernel:
     def mollifier(self) -> Mollifier | None:
         return None
 
-    def testfn(self, x: float, mx: int = 0) -> TestFn:
-        """The y-density d_x^mx phi(x, .) as a test function."""
-        w = self.y_window(x)
-        ker = self
-
-        def jet_all(ys, m):
-            return ker.jets(x, mx, ys, m)[mx]
-
-        cap = max(self.jet_cap - mx, 0)
-        return TestFn(SmoothFn(self.domain, jet_all, support=w, jet_cap=cap))
-
 
 def _as_ys(ys) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -316,6 +305,36 @@ class ScaleKernel(Kernel):
         return None
 
 
+class TranslationKernel(Kernel):
+    """phi(x, y) = k rho(k(x - y)): one mollifier translated, at one scale.
+
+    Mollification is this kernel applied to a distribution.  Windows are
+    not clipped to the domain; callers keep densities inside it.
+    """
+
+    def __init__(self, rho: SmoothFn, k: float, domain: Domain):
+        self.rho = rho
+        self.k = float(k)
+        self.radius = max(abs(rho.support.lo), abs(rho.support.hi))
+        self.domain = domain
+        self.jet_cap = rho.jet_cap
+
+    def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
+        k = self.k
+        R = self.rho.jets(k * (x - _as_ys(ys)), mx + my)
+        out = np.empty((mx + 1, my + 1) + R.shape[1:])
+        for i in range(mx + 1):
+            for j in range(my + 1):
+                out[i, j] = (-1.0) ** j * k ** (i + j + 1) * R[i + j]
+        return out
+
+    def y_window(self, x: float) -> CompactInterval:
+        return CompactInterval(x - self.radius / self.k, x + self.radius / self.k)
+
+    def radius_sup(self) -> float | None:
+        return self.radius / self.k
+
+
 # ---------------------------------------------------------------------------
 # derived kernels
 
@@ -334,17 +353,10 @@ class LieKernel(Kernel):
         B = self.base.jets(x, mx + 1, ys, my + 1)
         Xx = self.X.coef.jets(np.array([x]), mx)[:, 0]
         Xy = self.X.coef.jets(ys, my + 1)
-        out = np.zeros((mx + 1, my + 1, ys.size))
-        for i in range(mx + 1):
-            for j in range(my + 1):
-                t1 = 0.0
-                for p in range(i + 1):
-                    t1 = t1 + math.comb(i, p) * Xx[p] * B[i - p + 1, j]
-                t2 = np.zeros(ys.size)
-                for l in range(j + 2):
-                    t2 += math.comb(j + 1, l) * Xy[l] * B[i, j + 1 - l]
-                out[i, j] = t1 + t2
-        return out
+        moved = _leibniz(Xx[:, None, None], B[1:, : my + 1])
+        # d_y^(j+1) of X(y) phi, with the y axis in front for the product
+        carried = _leibniz(Xy, np.moveaxis(B[: mx + 1], 1, 0))[1:]
+        return moved + np.moveaxis(carried, 0, 1)
 
     def y_window(self, x: float) -> CompactInterval:
         return self.base.y_window(x)
@@ -383,20 +395,12 @@ class RestrictedKernel(Kernel):
         B = self.base.jets(x, mx, ys, my)
         out = np.zeros((mx + 1, my + 1, ys.size))
         xa = np.array([x])
+        By = np.moveaxis(B, 1, 0)
         for key in part.active_keys(x):
             cj = part.chi(key).jets(xa, mx)[:, 0]
             th = part.cutoff(key).jets(ys, my)
-            for i in range(mx + 1):
-                for j in range(my + 1):
-                    term = np.zeros(ys.size)
-                    for p in range(i + 1):
-                        if cj[p] == 0.0:
-                            continue
-                        sub = np.zeros(ys.size)
-                        for l in range(j + 1):
-                            sub += math.comb(j, l) * th[l] * B[i - p, j - l]
-                        term += math.comb(i, p) * cj[p] * sub
-                    out[i, j] += term
+            cut = np.moveaxis(_leibniz(th, By), 0, 1)
+            out += _leibniz(cj[:, None, None], cut)
         return out
 
     def y_window(self, x: float) -> CompactInterval:
@@ -440,13 +444,7 @@ class GluedKernel(Kernel):
             if not mask.any():
                 continue
             B = ker.jets(x, mx, ys[mask], my)
-            for i in range(mx + 1):
-                for j in range(my + 1):
-                    acc = np.zeros(mask.sum())
-                    for p in range(i + 1):
-                        if wj[p] != 0.0:
-                            acc += math.comb(i, p) * wj[p] * B[i - p, j]
-                    out[i, j, mask] += acc
+            out[:, :, mask] += _leibniz(wj[:, None, None], B)
         return out
 
     def y_window(self, x: float) -> CompactInterval:
@@ -581,56 +579,6 @@ class PullbackKernel(Kernel):
         xs = np.linspace(lo + 1e-6, hi - 1e-6, 257)
         stretch = np.max(np.abs(self.mu_inv.jet(self.mu.jet(xs, 0), 1)))
         return float(r * stretch)
-
-
-class GenericKernel(Kernel):
-    """Escape hatch: jets by central differences from plain values."""
-
-    def __init__(self, domain: Domain, values, window, fd_step: float = 1e-4,
-                 jet_cap: int = 4):
-        self.domain = domain
-        self.values = values  # (x, ys) -> ndarray
-        self.window = window  # x -> CompactInterval
-        self.h = fd_step
-        self.jet_cap = jet_cap
-
-    def _x_derivs(self, x: float, mx: int, ys: np.ndarray, h: float) -> np.ndarray:
-        out = np.empty((mx + 1, ys.size))
-        for i in range(mx + 1):
-            if i == 0:
-                out[0] = self.values(x, ys)
-                continue
-            pts = [x + (p - i / 2.0) * h for p in range(i + 1)]
-            coef = [(-1.0) ** (i - p) * math.comb(i, p) for p in range(i + 1)]
-            acc = np.zeros(ys.size)
-            for p, cf in zip(pts, coef):
-                acc += cf * self.values(p, ys)
-            out[i] = acc / h ** i
-        return out
-
-    def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
-
-        def xd(h):
-            cols = np.empty((mx + 1, my + 1, ys.size))
-            for j in range(my + 1):
-                if j == 0:
-                    cols[:, 0, :] = self._x_derivs(x, mx, ys, h)
-                    continue
-                acc = np.zeros((mx + 1, ys.size))
-                pts = [(p - j / 2.0) * h for p in range(j + 1)]
-                coef = [(-1.0) ** (j - p) * math.comb(j, p) for p in range(j + 1)]
-                for off, cf in zip(pts, coef):
-                    acc += cf * self._x_derivs(x, mx, ys + off, h)
-                cols[:, j, :] = acc / h ** j
-            return cols
-
-        a = xd(self.h)
-        b = xd(self.h / 2.0)
-        return (4.0 * b - a) / 3.0
-
-    def y_window(self, x: float) -> CompactInterval:
-        return self.window(x)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,7 @@ together with derivatives up to a configurable cap (``JET_CAP_DEFAULT``).
 Derivatives of combined objects are never approximated numerically; sums,
 products, affine substitutions and compositions propagate jets through the
 usual calculus rules (linearity, Leibniz, and Faa di Bruno realized as
-truncated-series arithmetic).  The one deliberate exception is
-:func:`from_values`, the escape hatch for opaque evaluators, which falls
-back to central differences with a single Richardson pass.
+truncated-series arithmetic).
 
 Suprema and integrals, by contrast, are honest numerics: :func:`seminorm`
 samples a fixed grid (plus one midpoint refinement) and :func:`integrate`
@@ -37,7 +35,6 @@ from .errors import (
 )
 
 JET_CAP_DEFAULT = 8
-FD_STEP_DEFAULT = 1e-4
 SEMINORM_GRID = 257
 
 _FACT = np.array([math.factorial(i) for i in range(64)], dtype=float)
@@ -107,10 +104,6 @@ class Domain:
         raise OutOfDomain(f"{x} not in domain {self.intervals}")
 
     @staticmethod
-    def reals() -> "Domain":
-        return REALS
-
-    @staticmethod
     def interval(lo: float, hi: float) -> "Domain":
         return Domain(((lo, hi),))
 
@@ -176,6 +169,26 @@ def _series_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             acc -= out[j] * b[k - j]
         out[k] = acc / b[0]
     return out
+
+
+def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Derivatives 0..m of a product from those of its factors.
+
+    Orders run along axis 0; the trailing axes of ``a`` broadcast against
+    those of ``b``.  The sum starts from zeros and adds terms in ascending
+    i, an order callers rely on for bit-stable results.
+    """
+    out = np.zeros(b.shape)
+    for k in range(b.shape[0]):
+        for i in range(k + 1):
+            out[k] += math.comb(k, i) * a[i] * b[k - i]
+    return out
+
+
+def _jet_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Derivatives 0..m of a / b, shape (m+1, npoints), b bounded away from zero."""
+    fact = _FACT[: a.shape[0], None]
+    return _series_div(a / fact, b / fact) * fact
 
 
 def _series_compose(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
@@ -372,17 +385,6 @@ def sin_fn(domain: Domain = REALS) -> SmoothFn:
     return SmoothFn(domain, jet_all, jet_cap=99)
 
 
-def cos_fn(domain: Domain = REALS) -> SmoothFn:
-    def jet_all(x, m):
-        out = np.empty((m + 1, x.size))
-        table = (np.cos(x), -np.sin(x), -np.cos(x), np.sin(x))
-        for j in range(m + 1):
-            out[j] = table[j % 4]
-        return out
-
-    return SmoothFn(domain, jet_all, jet_cap=99)
-
-
 def exp_fn(domain: Domain = REALS) -> SmoothFn:
     def jet_all(x, m):
         e = np.exp(x)
@@ -479,11 +481,7 @@ def _step_jets(t: np.ndarray, m: int) -> np.ndarray:
     G = _expnegrecip_jets(1.0 - tm, m)
     sign = np.array([(-1.0) ** j for j in range(m + 1)])[:, None]
     G = G * sign
-    fact = _FACT[: m + 1, None]
-    num = F / fact
-    den = (F + G) / fact
-    quot = _series_div(num, den)
-    out[:, mid] = quot * fact
+    out[:, mid] = _jet_div(F, F + G)
     return out
 
 
@@ -519,13 +517,7 @@ def plateau(lo: float, hi: float, rise: float, domain: Domain = REALS) -> Smooth
         D = _step_jets(td, m)
         cu = np.array([rise ** (-j) for j in range(m + 1)])[:, None]
         cd = np.array([(-1.0 / rise) ** j for j in range(m + 1)])[:, None]
-        U = U * cu
-        D = D * cd
-        out = np.zeros((m + 1, x.size))
-        for k in range(m + 1):
-            for i in range(k + 1):
-                out[k] += math.comb(k, i) * U[i] * D[k - i]
-        return out
+        return _leibniz(U * cu, D * cd)
 
     return SmoothFn(domain, jet_all, jet_cap=12,
                     support=CompactInterval(lo - rise, hi + rise))
@@ -582,13 +574,7 @@ def _product(f: SmoothFn, g: SmoothFn) -> SmoothFn:
         cv = f.const_value * g.const_value
 
     def jet_all(x, m):
-        F = f._masked_all(x, m)
-        G = g._masked_all(x, m)
-        out = np.zeros((m + 1, x.size))
-        for k in range(m + 1):
-            for i in range(k + 1):
-                out[k] += math.comb(k, i) * F[i] * G[k - i]
-        return out
+        return _leibniz(f._masked_all(x, m), g._masked_all(x, m))
 
     return SmoothFn(dom, jet_all, support=supp, jet_cap=cap, const_value=cv, breaks=breaks)
 
@@ -612,38 +598,12 @@ def _compose(outer: SmoothFn, inner: SmoothFn) -> SmoothFn:
 
 
 def combine(f: SmoothFn, g: SmoothFn, op: str) -> SmoothFn:
-    """Sum, product, or composition (f after g), with exact jet propagation."""
-    if op == "sum":
-        return lin_comb([f, g], [1.0, 1.0])
+    """Product or composition (f after g), with exact jet propagation."""
     if op == "product":
         return _product(f, g)
     if op == "compose":
         return _compose(f, g)
     raise ValueError(f"unknown op {op!r}")
-
-
-def precompose_affine(f: SmoothFn, a: float, b: float) -> SmoothFn:
-    """x -> f(a*x + b) with jets scaled by a^m; the workhorse for translates."""
-    a = float(a)
-    b = float(b)
-    if a == 0.0:
-        return constant(f(b))
-    ivs = sorted(tuple(sorted(((lo - b) / a, (hi - b) / a)))
-                 for lo, hi in f.domain.intervals)
-    dom = Domain(tuple(ivs))
-    supp = None
-    if f.support is not None:
-        s = sorted(((f.support.lo - b) / a, (f.support.hi - b) / a))
-        supp = CompactInterval(*s)
-    breaks = tuple(sorted((bk - b) / a for bk in f.breaks))
-
-    def jet_all(x, m):
-        vals = f._masked_all(a * x + b, m)
-        chain = np.array([a ** j for j in range(m + 1)])[:, None]
-        return vals * chain
-
-    return SmoothFn(dom, jet_all, support=supp, jet_cap=f.jet_cap,
-                    const_value=f.const_value, breaks=breaks)
 
 
 def derivative_fn(f: SmoothFn, order: int = 1) -> SmoothFn:
@@ -659,39 +619,6 @@ def derivative_fn(f: SmoothFn, order: int = 1) -> SmoothFn:
 
     return SmoothFn(f.domain, jet_all, support=f.support,
                     jet_cap=f.jet_cap - order, breaks=f.breaks)
-
-
-def from_values(evaluator: Callable[[np.ndarray], np.ndarray], domain: Domain,
-                *, jet_cap: int = JET_CAP_DEFAULT, fd_step: float = FD_STEP_DEFAULT,
-                support: CompactInterval | None = None) -> SmoothFn:
-    """Wrap an opaque pointwise evaluator; jets by central differences.
-
-    Each derivative order applies one central difference with a single
-    Richardson extrapolation pass (step fd_step, then fd_step/2).  Exact
-    enough for probing and round trips, not for high-order asymptotics;
-    prefer structural jets wherever a formula exists.
-    """
-
-    def deriv(x: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return np.asarray(evaluator(x), dtype=float)
-        prev = lambda xs: deriv(xs, order - 1)
-        h = fd_step
-
-        def central(step):
-            return (prev(x + step) - prev(x - step)) / (2.0 * step)
-
-        d1 = central(h)
-        d2 = central(h / 2.0)
-        return (4.0 * d2 - d1) / 3.0
-
-    def jet_all(x, m):
-        out = np.empty((m + 1, x.size))
-        for j in range(m + 1):
-            out[j] = deriv(x, j)
-        return out
-
-    return SmoothFn(domain, jet_all, jet_cap=jet_cap, support=support)
 
 
 def restrict_view(f: SmoothFn, sub: Domain) -> SmoothFn:
@@ -764,18 +691,6 @@ class TestFn:
 
     def __neg__(self) -> "TestFn":
         return TestFn(lin_comb([self.fn], [-1.0]))
-
-    def mul_smooth(self, g: SmoothFn) -> "TestFn":
-        prod = _product(self.fn, g)
-        if prod.support is None:
-            prod = SmoothFn(prod.domain, prod._jet_all, support=self.support,
-                            jet_cap=prod.jet_cap, breaks=prod.breaks)
-        return TestFn(prod)
-
-    def extend_to(self, new_domain: Domain) -> "TestFn":
-        if new_domain == self.domain:
-            return self
-        return TestFn(extend_by_zero(self.fn, new_domain))
 
 
 @dataclass(frozen=True)
@@ -1029,10 +944,7 @@ def _normalized(g: SmoothFn, total: SmoothFn, dom: Domain) -> SmoothFn:
     cap = min(g.jet_cap, total.jet_cap)
 
     def jet_all(x, m):
-        G = g._masked_all(x, m)
-        T = total._masked_all(x, m)
-        fact = _FACT[: m + 1, None]
-        return _series_div(G / fact, T / fact) * fact
+        return _jet_div(g._masked_all(x, m), total._masked_all(x, m))
 
     return SmoothFn(dom, jet_all, support=g.support, jet_cap=cap)
 
@@ -1176,8 +1088,7 @@ class DyadicPartition:
                     T = np.zeros_like(G)
                     for kk in ks:
                         T += part.bump(kk)._masked_all(xi, m)
-                    fact = _FACT[: m + 1, None]
-                    out[:, np.asarray(idxs)] = _series_div(G / fact, T / fact) * fact
+                    out[:, np.asarray(idxs)] = _jet_div(G, T)
                 return out
 
             g = self.bump(key)
@@ -1199,8 +1110,3 @@ class DyadicPartition:
             delta = margin / 2.0
             self._cutoffs[key] = plateau(a - delta / 2.0, b + delta / 2.0, delta / 2.0)
         return self._cutoffs[key]
-
-    def margin(self, key) -> float:
-        """Distance the cutoff plateau extends beyond the piece."""
-        a, b = self.piece(key)
-        return (self.cutoff(key).support.lo - a) * -1.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basic import BasicElement, Iota, Sum, eval_basic
 from .dist import default_test_battery, delta, heaviside, pair, regular
-from .errors import TooFewPoints
+from .errors import NonFiniteSweep, TooFewPoints
 from .kernel import (
     DEFAULT_K_GRID,
     Kernel,
@@ -40,6 +40,7 @@ from .smooth import (
     exp_fn,
     integrate,
     polynomial,
+    restrict_view,
     seminorm,
     sin_fn,
 )
@@ -86,6 +87,8 @@ def fit_order(values, k_grid=DEFAULT_K_GRID) -> AsymptoticFit:
     vals = tuple(float(abs(v)) for v in values)
     if len(vals) != len(ks):
         raise TooFewPoints("one value per grid point required")
+    if not all(math.isfinite(v) for v in vals):
+        raise NonFiniteSweep(f"sweep values are not all finite: {vals}")
     nz = [(k, v) for k, v in zip(ks, vals) if v > CLAMP]
     if not nz:
         return AsymptoticFit(ks, vals, -math.inf, -math.inf, 0.0, True)
@@ -159,16 +162,10 @@ def embedding_residual_sweep(f: SmoothFn, seq: KernelSequence, *,
         if v is None:
             diff = eval_basic(Iota(regular(f, domain=seq.domain)), ker) \
                 - (f if f.domain == seq.domain else
-                   _restricted(f, seq.domain))
+                   restrict_view(f, seq.domain))
             v = seminorm(diff, K, m)
         vals.append(v)
     return fit_order(vals, k_grid)
-
-
-def _restricted(f: SmoothFn, dom: Domain) -> SmoothFn:
-    from .smooth import restrict_view
-
-    return restrict_view(f, dom)
 
 
 def _singular_points(R: BasicElement) -> tuple[float, ...]:

@@ -64,6 +64,11 @@ class TestExpressions:
         ("iota(delta(0)) !", "trailing input"),
         ("restrict[1, -1](iota(delta(0)))", "empty restriction"),
         ("", "expected a factor"),
+        ("1e999 * iota(delta(0))", "not finite"),
+        ("iota(ddelta(0, 1e400))", "not finite"),
+        ("iota(delta(5))", "outside the domain"),
+        ("restrict[0.5, 3](iota(delta(0)))", "leaves the domain"),
+        ("(" * 1200 + "iota(delta(0))" + ")" * 1200, "nested too deeply"),
     ])
     def test_parse_errors_carry_position(self, src, fragment):
         with pytest.raises(ParseError) as exc:
@@ -117,6 +122,12 @@ class TestExitCodes:
         p = tmp_path / "bad.cfg"
         p.write_text("spam = 1\n")
         assert main(["--config", str(p), "demo"]) == 2
+
+    def test_non_finite_sweep_is_numerical_failure(self, quick_cfg, capsys):
+        code = main(["--config", quick_cfg, "classify",
+                     "1e200*iota(delta(0))*(1e200*iota(delta(0)))"])
+        assert code == 3
+        assert "not all finite" in capsys.readouterr().err
 
     def test_moderate_element_classifies_clean(self, quick_cfg, capsys):
         code = main(["--config", quick_cfg, "classify", "iota(delta(0))"])

@@ -20,6 +20,7 @@ from gfkernel.dist import (
     scale_dist,
     support_dist,
 )
+from gfkernel.errors import UnboundedSupport
 from gfkernel.smooth import Domain, bump, constant_field, integrate, polynomial, sin_fn
 from gfkernel.smooth import TestFn as CompactTestFn
 from gfkernel.smooth import VectorField
@@ -120,6 +121,38 @@ class TestMollification:
         out = mollify(regular(sin_fn(), domain=DOM), rho, 64.0)
         xs = np.linspace(-0.5, 0.5, 7)
         assert np.max(np.abs(out.jet(xs, 0) - np.sin(xs))) < 1e-5
+
+    def test_mixture_matches_direct_quadrature(self):
+        from gfkernel.kernel import make_mollifier
+
+        rho = make_mollifier(2).fn  # support [-1, 1]
+        k = 8.0
+        out = mollify(delta(0.2, domain=DOM) + heaviside(DOM), rho, k)
+        for x in (-0.3, -0.05, 0.1, 0.25, 0.6):
+            lo, hi = max(0.0, x - 1.0 / k), x + 1.0 / k
+            step = 0.0
+            if lo < hi:
+                step = integrate(lambda ys: k * rho.jet(k * (x - ys), 0), (lo, hi),
+                                 rel_tol=1e-12, abs_tol=1e-14).value
+            want = k * rho.jet(k * (x - 0.2), 0) + step
+            assert out.jet(x, 0) == pytest.approx(want, abs=1e-10), x
+            # the step's smoothing has derivative rho_k(x) in closed form
+            want1 = k ** 2 * rho.jet(k * (x - 0.2), 1) + k * rho.jet(k * x, 0)
+            assert out.jet(x, 1) == pytest.approx(want1, abs=1e-9), x
+
+    def test_unbounded_density_shrinks_the_domain(self):
+        from gfkernel.kernel import make_mollifier
+
+        out = mollify(heaviside(DOM), make_mollifier(3).fn, 8.0)
+        assert out.domain.intervals == ((-1.875, 1.875),)
+        assert out.jet(1.87, 0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_window_wider_than_domain_rejected(self):
+        from gfkernel.kernel import make_mollifier
+
+        small = Domain.interval(-0.1, 0.1)
+        with pytest.raises(UnboundedSupport):
+            mollify(heaviside(small), make_mollifier(3).fn, 8.0)
 
 
 class TestTransport:

@@ -10,6 +10,7 @@ from gfkernel.errors import NoSeparation, NotContained
 from gfkernel.kernel import (
     ConstantKernel,
     PullbackKernel,
+    TranslationKernel,
     apply_kernel,
     combo_seq,
     constant_witness_seq,
@@ -181,6 +182,46 @@ class TestDerivedKernels:
         got = pb.jets(x, 0, ys, 0)[0, 0]
         want = base.jets(1.2, 0, 2.0 * ys + 1.0, 0)[0, 0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+# (kernel builder from the q3 and q1 sequences, x); every case puts x
+# where the derived kernel's own factors vary, not just the base kernel
+MIXED_CASES = {
+    # off the scale plateau, so the profile's x-derivatives enter too
+    "lie-nonconstant-field": (lambda s3, s1: lie_seq(
+        VectorField(polynomial([0.3, 1.0, 0.5], DOM)), s3).at(16), -1.3),
+    # the partition weights of rings L2 and L3 of (-1, 1) both vary at x,
+    # and the window crosses the falling edge of L3's cutoff
+    "restricted-ring-overlap": (lambda s3, s1: restrict_seq(
+        s3, Domain.interval(-1.0, 1.0)).at(16), -0.905),
+    # both weights of the left seam vary at x, between unequal kernels
+    "glued-seam": (lambda s3, s1: glue_seqs(
+        [(-2.0, -0.4), (-1.1, 1.1)],
+        [restrict_seq(s3, Domain.interval(-2.0, -0.4)),
+         restrict_seq(s1, Domain.interval(-1.1, 1.1))], domain=DOM).at(16), -0.75),
+    "translation": (lambda s3, s1: TranslationKernel(
+        make_mollifier(2).fn, 8.0, DOM), 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_CASES))
+def test_mixed_jets_match_central_differences(q3_seq, q1_seq, case):
+    # each order (mx, my) <= 2 is the x- or y-difference of the one below
+    build, x = MIXED_CASES[case]
+    ker = build(q3_seq, q1_seq)
+    w = ker.y_window(x)
+    ys = np.linspace(w.lo, w.hi, 33)
+    h = 1e-6
+    J = ker.jets(x, 2, ys, 2)
+    dx = (ker.jets(x + h, 2, ys, 2) - ker.jets(x - h, 2, ys, 2)) / (2 * h)
+    dy = (ker.jets(x, 2, ys + h, 2) - ker.jets(x, 2, ys - h, 2)) / (2 * h)
+    for i in range(3):
+        for j in range(3):
+            scale = np.max(np.abs(J[i, j])) + 1.0
+            if i > 0:
+                assert np.max(np.abs(dx[i - 1, j] - J[i, j])) / scale < 1e-5, ("x", i, j)
+            if j > 0:
+                assert np.max(np.abs(dy[i, j - 1] - J[i, j])) / scale < 1e-5, ("y", i, j)
 
 
 class TestApplication:

@@ -7,7 +7,7 @@ import pytest
 
 from gfkernel.basic import iota, lie_hat, lie_tilde, sigma
 from gfkernel.dist import default_test_battery, delta, heaviside, regular
-from gfkernel.errors import TooFewPoints
+from gfkernel.errors import NonFiniteSweep, TooFewPoints
 from gfkernel.kernel import constant_witness_seq, make_mollifier, standard_sequence
 from gfkernel.smooth import CompactInterval, Domain, constant_field, polynomial, sin_fn
 from gfkernel.smooth import VectorField
@@ -48,6 +48,16 @@ class TestFitting:
         vals[2] = 0.0
         fit = fit_order(vals, ks)
         assert fit.slope == pytest.approx(-1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("vals", [
+        [math.nan] * 5,
+        [1e-3, math.nan, 1e-5, math.inf, 1e-7],
+        [math.inf] * 5,
+    ])
+    def test_non_finite_values_raise(self, vals):
+        # NaN fails every "> floor" test, so it must not pass as a zero
+        with pytest.raises(NonFiniteSweep):
+            fit_order(vals)
 
     def test_single_point_fit_is_degenerate(self):
         fit = fit_order([1.0], (8,))
