@@ -55,6 +55,8 @@ CHAIN_LOCAL = 1         # output on V depends only on the kernel on V
 CHAIN_POINT_LOCAL = 2   # output at x depends only on the density at x
 CHAIN_POINT_INDEP = 3   # one fixed functional applied to the density at x
 
+FD_STEP = 1e-3  # kernel-space step of GenericElement's finite differences
+
 
 @dataclass(frozen=True)
 class LocalityTag:
@@ -303,7 +305,6 @@ class GenericElement(BasicElement):
     evaluator: object  # Kernel -> SmoothFn
     dom: Domain
     stated_tag: LocalityTag = LocalityTag(CHAIN_NONE, False)
-    fd_step: float = 1e-3
 
     @property
     def domain(self) -> Domain:
@@ -332,10 +333,9 @@ def pushforward(a: BasicElement, mu: Diffeo1D) -> Pushforward:
     return Pushforward(a, mu)
 
 
-def as_generic(a: BasicElement, tag: LocalityTag | None = None) -> GenericElement:
+def as_generic(a: BasicElement) -> GenericElement:
     """Forget structure, keeping only the evaluation map."""
-    return GenericElement(lambda ker: eval_basic(a, ker), a.domain,
-                          tag if tag is not None else LocalityTag(CHAIN_NONE, False))
+    return GenericElement(lambda ker: eval_basic(a, ker), a.domain)
 
 
 def _field_on(X: VectorField, dom: Domain) -> VectorField:
@@ -390,54 +390,28 @@ def eval_basic(R: BasicElement, ker: Kernel) -> SmoothFn:
             R = restrict_basic(R, ker.domain)
         else:
             raise DomainMismatch("kernel domain must sit inside the element's")
-    return _eval(R, ker)
-
-
-def _eval(R: BasicElement, ker: Kernel) -> SmoothFn:
-    if isinstance(R, Iota):
-        return apply_kernel(ker, R.u)
-    if isinstance(R, Sigma):
-        return R.f
-    if isinstance(R, Sum):
-        return _eval(R.a, ker) + _eval(R.b, ker)
-    if isinstance(R, Product):
-        return _eval(R.a, ker) * _eval(R.b, ker)
-    if isinstance(R, SmoothScale):
-        return R.f * _eval(R.a, ker)
-    if isinstance(R, LieHat):
-        moved = d_eval(R.a, ker, (LieKernel(R.X, ker),))
-        ambient = lie_smooth(R.X, _eval(R.a, ker), mode="function")
-        return ambient - moved
-    if isinstance(R, LieTilde):
-        return lie_smooth(R.X, _eval(R.a, ker), mode="function")
-    if isinstance(R, Pushforward):
-        pulled = PullbackKernel(ker, R.mu.fwd, R.mu.inv, R.a.domain)
-        up = _eval(R.a, pulled)
-        return combine(up, R.mu.inv, "compose")
-    if isinstance(R, GenericElement):
-        return R.evaluator(ker)
-    raise TypeError(f"unknown element {type(R).__name__}")
+    return d_eval(R, ker, ())
 
 
 def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
-    """The n-th kernel-direction differential of R at ker.
+    """The n-th kernel-direction differential of R at ker; n = 0 evaluates.
 
     Multilinear and symmetric in ``dirs``; computed from the structure of
     R, so embeddings differentiate exactly (iota is linear, sigma is
     constant) and only GenericElement falls back to finite differences.
     """
     n = len(dirs)
-    if n == 0:
-        return _eval(R, ker)
     if isinstance(R, Iota):
-        if n == 1:
-            return apply_kernel(dirs[0], R.u)
+        if n < 2:
+            return apply_kernel(dirs[0] if n else ker, R.u)
         return constant(0.0, ker.domain)
     if isinstance(R, Sigma):
-        return constant(0.0, ker.domain)
+        return R.f if n == 0 else constant(0.0, ker.domain)
     if isinstance(R, Sum):
         return d_eval(R.a, ker, dirs) + d_eval(R.b, ker, dirs)
     if isinstance(R, Product):
+        if n == 0:
+            return d_eval(R.a, ker, ()) * d_eval(R.b, ker, ())
         idx = range(n)
         parts = []
         for r in range(n + 1):
@@ -455,13 +429,13 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
         for i in range(n):
             repl = dirs[:i] + (LieKernel(X, dirs[i]),) + dirs[i + 1:]
             cross.append(d_eval(R.a, ker, repl))
-        ambient = lie_smooth(X, d_eval(R.a, ker, dirs), mode="function")
+        ambient = lie_smooth(X, d_eval(R.a, ker, dirs))
         out = ambient - moved
         for c in cross:
             out = out - c
         return out
     if isinstance(R, LieTilde):
-        return lie_smooth(R.X, d_eval(R.a, ker, dirs), mode="function")
+        return lie_smooth(R.X, d_eval(R.a, ker, dirs))
     if isinstance(R, Pushforward):
         pulled = PullbackKernel(ker, R.mu.fwd, R.mu.inv, R.a.domain)
         pdirs = tuple(PullbackKernel(d, R.mu.fwd, R.mu.inv, R.a.domain)
@@ -469,14 +443,14 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
         up = d_eval(R.a, pulled, pdirs)
         return combine(up, R.mu.inv, "compose")
     if isinstance(R, GenericElement):
-        return _fd_differential(R, ker, dirs)
+        return R.evaluator(ker) if n == 0 else _fd_differential(R, ker, dirs)
     raise TypeError(f"unknown element {type(R).__name__}")
 
 
 def _fd_differential(R: GenericElement, ker: Kernel,
                      dirs: tuple[Kernel, ...]) -> SmoothFn:
     """Central differences in kernel space, one Richardson pass."""
-    h = R.fd_step
+    h = FD_STEP
     psi = dirs[0]
     rest = dirs[1:]
 
@@ -533,7 +507,7 @@ def restrict_basic(R: BasicElement, V: Domain) -> BasicElement:
                       W, V)
         return Pushforward(restrict_basic(R.a, W), mu)
     if isinstance(R, GenericElement):
-        return GenericElement(R.evaluator, V, R.stated_tag, R.fd_step)
+        return GenericElement(R.evaluator, V, R.stated_tag)
     raise TypeError(f"unknown element {type(R).__name__}")
 
 
@@ -595,12 +569,11 @@ class _XReparamKernel(Kernel):
         return self.base.y_window(self._warp(x))
 
 
-def probe_locality(R: BasicElement, *, k: int = 16, tol: float = 1e-8,
-                   seed: int = 0) -> LocalityReport:
+def probe_locality(R: BasicElement) -> LocalityReport:
     """Audit an element's locality empirically.
 
-    Builds kernels that agree on a region, at a point, or differ by a
-    linear combination, and checks whether the element can tell them
+    Builds rate-16 kernels that agree on a region, at a point, or differ
+    by a linear combination, and checks whether the element can tell them
     apart where it should not.  Probes are seeded but deterministic.
     """
     dom = R.domain
@@ -608,12 +581,13 @@ def probe_locality(R: BasicElement, *, k: int = 16, tol: float = 1e-8,
     if not (math.isfinite(lo) and math.isfinite(hi)):
         lo, hi = max(lo, -2.0), min(hi, 2.0)
     L = hi - lo
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    tol = 1e-8
     defects: dict[str, float] = {}
 
     seq_a = standard_sequence(dom, make_mollifier(3))
     seq_b = standard_sequence(dom, make_mollifier(1), mbar=0.7)
-    ka, kb = seq_a.at(k), seq_b.at(k)
+    ka, kb = seq_a.at(16), seq_b.at(16)
 
     def sup_on(f: SmoothFn, a: float, b: float, n: int = 41) -> float:
         xs = np.linspace(a, b, n)
@@ -621,14 +595,14 @@ def probe_locality(R: BasicElement, *, k: int = 16, tol: float = 1e-8,
         return float(np.max(np.abs(f.jet(xs, 0)))) if xs.size else 0.0
 
     # scale reference so tolerances mean "relative to typical output size"
-    base_out = _eval(R, ka)
+    base_out = d_eval(R, ka, ())
     ref = max(sup_on(base_out, lo + 0.1 * L, hi - 0.1 * L), 1.0)
 
     # linearity: R(a phi + b psi) vs a R(phi) + b R(psi)
     ca, cb = 0.3, -1.2
     combo = AffineComboKernel([(ca, ka), (cb, kb)])
-    lhs = _eval(R, combo)
-    rhs = lin_comb([_eval(R, ka), _eval(R, kb)], [ca, cb])
+    lhs = d_eval(R, combo, ())
+    rhs = lin_comb([d_eval(R, ka, ()), d_eval(R, kb, ())], [ca, cb])
     defect = sup_on(lhs - rhs, lo + 0.1 * L, hi - 0.1 * L)
     defects["linear"] = defect / ref
     linear = defect <= tol * ref
@@ -637,7 +611,7 @@ def probe_locality(R: BasicElement, *, k: int = 16, tol: float = 1e-8,
     # constant output
     mid, rad = 0.5 * (lo + hi), 0.375 * L
     cw = ConstantKernel(TestFn(bump(mid, rad, dom)), dom)
-    out = _eval(R, cw)
+    out = d_eval(R, cw, ())
     xs = np.linspace(lo + 0.1 * L, hi - 0.1 * L, 41)
     xs = xs[dom.contains(xs)]
     vals = out.jet(xs, 0)
@@ -657,7 +631,7 @@ def probe_locality(R: BasicElement, *, k: int = 16, tol: float = 1e-8,
     for x0 in picks:
         warped = _XReparamKernel(ka, float(x0), 1.5)
         d = abs(float(base_out.jet(float(x0), 0))
-                - float(_eval(R, warped).jet(float(x0), 0)))
+                - float(d_eval(R, warped, ()).jet(float(x0), 0)))
         worst = max(worst, d)
     defects["point_local"] = worst / ref
     point_local = worst <= tol * ref
@@ -666,7 +640,7 @@ def probe_locality(R: BasicElement, *, k: int = 16, tol: float = 1e-8,
     # deep inside it
     cut = lo + 0.55 * L
     patched = _PatchedKernel(ka, kb, cut + 0.1 * L)
-    defect = sup_on(base_out - _eval(R, patched), lo + 0.1 * L, cut - 0.15 * L)
+    defect = sup_on(base_out - d_eval(R, patched, ()), lo + 0.1 * L, cut - 0.15 * L)
     defects["local"] = defect / ref
     local = defect <= tol * ref
 
@@ -704,8 +678,8 @@ class _PatchedKernel(Kernel):
 # convenience: check a claimed tag against the probes
 
 
-def audit_tag(R: BasicElement, **kw) -> LocalityReport:
-    report = probe_locality(R, **kw)
+def audit_tag(R: BasicElement) -> LocalityReport:
+    report = probe_locality(R)
     if not report.consistent_with(tag_of(R)):
         raise WrongTag(
             f"structural tag {tag_of(R)} not supported by probes: {report.defects}")

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the requested check holds, 1 when it completes with a
 negative verdict, 2 for configuration or expression errors, 3 when a
-numerical routine gives up.  All output is a pure function of the
-arguments, so repeated runs are byte-identical.
+numerical routine gives up (overflow and invalid floating-point
+operations included), 4 for any other, unexpected failure.  All output is
+a pure function of the arguments, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .basic import BasicElement, iota, lie_hat, lie_tilde, sigma
 from .dist import delta, heaviside, regular
-from .errors import ConfigError, GFKernelError, ParseError
+from .errors import ConfigError, DomainMismatch, GFKernelError, ParseError
 from .kernel import (
     DEFAULT_K_GRID,
     constant_witness_seq,
@@ -72,8 +75,9 @@ class _Parser:
     dist    := delta(a) | ddelta(a, m) | H | fn:NAME
 
     Numbers must be finite, points and restriction intervals must lie in
-    the domain, and nesting is capped at ``MAX_DEPTH`` levels, so bad
-    input fails here with a position rather than later in the numerics.
+    the domain, operands must share one, and nesting is capped at
+    ``MAX_DEPTH`` levels, so bad input fails here with a position rather
+    than later in the numerics.
     """
 
     MAX_DEPTH = 100
@@ -132,7 +136,10 @@ class _Parser:
     # grammar -------------------------------------------------------------
 
     def parse(self) -> BasicElement:
-        val = self._expr()
+        try:
+            val = self._expr()
+        except DomainMismatch as exc:
+            raise ParseError(str(exc), self.pos) from None
         self._ws()
         if self.pos != len(self.src):
             raise ParseError("trailing input", self.pos)
@@ -150,7 +157,7 @@ class _Parser:
             self.pos += 1
             rhs = self._term()
             val, rhs = self._promote(val, rhs)
-            val = val + rhs if op == "+" else val - rhs
+            val = self._finite(val + rhs if op == "+" else val - rhs)
         self.depth -= 1
         return val
 
@@ -161,14 +168,19 @@ class _Parser:
             rhs = self._factor()
             if isinstance(val, float) and isinstance(rhs, BasicElement):
                 val, rhs = rhs, val
-            val = val * rhs
+            val = self._finite(val * rhs)
+        return val
+
+    def _finite(self, val):
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ParseError("number is not finite", self.pos)
         return val
 
     def _promote(self, a, b):
         if isinstance(a, BasicElement) and isinstance(b, float):
-            b = sigma(constant(b), self.domain)
+            b = sigma(constant(b), a.domain)
         if isinstance(b, BasicElement) and isinstance(a, float):
-            a = sigma(constant(a), self.domain)
+            a = sigma(constant(a), b.domain)
         return a, b
 
     def _factor(self):
@@ -412,19 +424,22 @@ def cmd_classify(args) -> int:
     return 0 if mod.verdict else 1
 
 
-def cmd_associate(args) -> int:
-    cfg = _context(args)
-    A = parse_expr(args.left, cfg["domain"])
-    B = parse_expr(args.right, cfg["domain"]) if args.right is not None else None
-    rep = associated(A, B, k_grid=cfg["ks"])
+def _show_association(rep, headline: str) -> int:
     out = sys.stdout
     for idx, sv in sorted(rep.sweeps.items()):
         if sv.fit.peak < sv.floor and not sv.fit.exact_zero:
             print(f"  test-fn {idx}: below resolution floor [pass]", file=out)
         else:
             _show_sweep(f"test-fn {idx}", sv, out)
-    print(f"associated: {rep.verdict}", file=out)
+    print(f"{headline}: {rep.verdict}", file=out)
     return 0 if rep.verdict else 1
+
+
+def cmd_associate(args) -> int:
+    cfg = _context(args)
+    A = parse_expr(args.left, cfg["domain"])
+    B = parse_expr(args.right, cfg["domain"]) if args.right is not None else None
+    return _show_association(associated(A, B, k_grid=cfg["ks"]), "associated")
 
 
 def cmd_sheaf_demo(args) -> int:
@@ -462,15 +477,8 @@ def cmd_lie_check(args) -> int:
     R = parse_expr(args.expr, cfg["domain"])
     X = constant_field(1.0, R.domain)
     rep = associated(lie_tilde(X, R), lie_hat(X, R), k_grid=cfg["ks"])
-    out = sys.stdout
-    for idx, sv in sorted(rep.sweeps.items()):
-        if sv.fit.peak < sv.floor and not sv.fit.exact_zero:
-            print(f"  test-fn {idx}: below resolution floor [pass]", file=out)
-        else:
-            _show_sweep(f"test-fn {idx}", sv, out)
-    print(f"transport and recentering derivatives associated: {rep.verdict}",
-          file=out)
-    return 0 if rep.verdict else 1
+    return _show_association(
+        rep, "transport and recentering derivatives associated")
 
 
 def cmd_export(args) -> int:
@@ -560,13 +568,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # overflow or NaN in the jet arithmetic stops the run where it
+        # happens instead of surfacing as a non-finite sweep at the end
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GFKernelError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except FloatingPointError as exc:
+        print(f"numerical failure: values are not all finite ({exc})",
+              file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .errors import (
     DomainMismatch,
     IncompatiblePieces,
     InvalidRadius,
+    JetCapExceeded,
     NotContained,
     OutOfDomain,
     SingularMomentSystem,
@@ -86,15 +87,14 @@ class Mollifier:
         return self._moments[a]
 
 
-def make_mollifier(q: int, radius: float = 1.0, *, pin: float | None = None) -> Mollifier:
+def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
     """Mollifier of order q: unit mass, vanishing moments 1..q.
 
     The ansatz is bump(t) * p(t^2) with p even-polynomial.  One extra
-    basis element pins the first surviving even moment to a definite
-    value, so the leading residual term of every induced smoothing
-    operator has a known, comfortably nonzero size.  The default pin is
-    the base bump's own normalized moment, which keeps low orders close
-    to a plain bump (q <= 1 IS the normalized bump).
+    basis element pins the first surviving even moment to the base
+    bump's own normalized moment, so the leading residual term of every
+    induced smoothing operator has a known, comfortably nonzero size and
+    low orders stay close to a plain bump (q <= 1 IS the normalized bump).
     """
     if q < 0:
         raise SingularMomentSystem("moment order must be nonnegative")
@@ -111,12 +111,10 @@ def make_mollifier(q: int, radius: float = 1.0, *, pin: float | None = None) -> 
         return res.value
 
     B = {e: base_moment(e) for e in range(0, 4 * (n - 1) + 1, 2)}
-    if pin is None:
-        pin = B[e_pin] / B[0]
     A = np.array([[B[2 * i + 2 * j] for j in range(n)] for i in range(n)])
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    rhs[n - 1] = pin
+    rhs[n - 1] = B[e_pin] / B[0]
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e10:
         raise SingularMomentSystem(
@@ -180,7 +178,7 @@ def _as_ys(ys) -> np.ndarray:
 # the standard construction: a scale-profile translation kernel
 
 
-def _profile_for(domain: Domain, mbar: float, pad_factor: float):
+def _profile_for(domain: Domain, mbar: float):
     """Scale profile m(x) per component: flat mbar inside, tapering to zero
     at finite boundaries, with m(x) strictly below the boundary distance."""
     comps = []
@@ -189,7 +187,7 @@ def _profile_for(domain: Domain, mbar: float, pad_factor: float):
         finite_a, finite_b = math.isfinite(a), math.isfinite(bnd)
         L = bnd - a
         mb = mbar if not (finite_a and finite_b) else min(mbar, 0.22 * L)
-        pad = pad_factor * mb
+        pad = 1.5 * mb
         lo_p = a + pad if finite_a else -math.inf
         hi_p = bnd - pad if finite_b else math.inf
         if not lo_p < hi_p:
@@ -589,12 +587,10 @@ class KernelSequence:
     """A k-indexed family of kernels; the rate variable of the theory."""
 
     def __init__(self, domain: Domain, maker, *, grade: int | None = None,
-                 radius_bound=None, label: str = "seq",
-                 mollifier: Mollifier | None = None):
+                 label: str = "seq", mollifier: Mollifier | None = None):
         self.domain = domain
         self._maker = maker
         self.grade = grade
-        self.radius_bound = radius_bound  # callable k -> sup_x window radius
         self.label = label
         self.mollifier = mollifier
         self._memo: dict[int, Kernel] = {}
@@ -607,6 +603,10 @@ class KernelSequence:
             self._memo[k] = self._maker(k)
         return self._memo[k]
 
+    def radius_bound(self, k: int) -> float | None:
+        """sup_x of the y-window radius at rate k, if the kernel knows it."""
+        return self.at(k).radius_sup()
+
     def __repr__(self):
         g = f", grade={self.grade}" if self.grade is not None else ""
         return f"KernelSequence({self.label}{g})"
@@ -615,7 +615,6 @@ class KernelSequence:
 def standard_sequence(domain: Domain = DEFAULT_DOMAIN,
                       mollifier: Mollifier | None = None, *,
                       mbar: float = 0.8,
-                      pad_factor: float = 1.5,
                       label: str | None = None) -> KernelSequence:
     """The canonical localizing test-object sequence on a domain.
 
@@ -625,30 +624,26 @@ def standard_sequence(domain: Domain = DEFAULT_DOMAIN,
     rate k >= 1.
     """
     moll = mollifier if mollifier is not None else make_mollifier(3)
-    prof, plats = _profile_for(domain, mbar, pad_factor)
-    mb_max = max(mb for _, _, mb in plats)
+    prof, plats = _profile_for(domain, mbar)
 
     def maker(k: int) -> Kernel:
         return ScaleKernel(domain, moll, prof, plats, k)
 
     return KernelSequence(
         domain, maker, grade=moll.order,
-        radius_bound=lambda k: mb_max / k,
         label=label or f"standard(q={moll.order})", mollifier=moll)
 
 
 def lie_seq(X: VectorField, seq: KernelSequence) -> KernelSequence:
     return KernelSequence(seq.domain, lambda k: LieKernel(X, seq.at(k)),
-                          grade=None, radius_bound=seq.radius_bound,
-                          label=f"lie({seq.label})")
+                          grade=None, label=f"lie({seq.label})")
 
 
 def restrict_seq(seq: KernelSequence, V: Domain) -> KernelSequence:
     if not V.is_subset(seq.domain):
         raise NotContained("restriction target must sit inside the domain")
     return KernelSequence(V, lambda k: RestrictedKernel(seq.at(k), V),
-                          grade=seq.grade, radius_bound=seq.radius_bound,
-                          label=f"{seq.label}|{V.intervals}")
+                          grade=seq.grade, label=f"{seq.label}|{V.intervals}")
 
 
 def glue_seqs(cover, seqs, *, domain: Domain | None = None,
@@ -675,20 +670,16 @@ def glue_seqs(cover, seqs, *, domain: Domain | None = None,
 
     grades = {s.grade for s in seqs}
     grade = grades.pop() if len(grades) == 1 else None
-    bounds = [s.radius_bound for s in seqs]
-    rb = None
-    if all(b is not None for b in bounds):
-        rb = lambda k: max(b(k) for b in bounds)
-    return KernelSequence(dom, maker, grade=grade, radius_bound=rb, label=label)
+    return KernelSequence(dom, maker, grade=grade, label=label)
 
 
-def extend_seq(seq: KernelSequence, U: Domain, *, core: tuple[float, float],
-               filler: KernelSequence | None = None) -> KernelSequence:
+def extend_seq(seq: KernelSequence, U: Domain, *,
+               core: tuple[float, float]) -> KernelSequence:
     """Extend a sequence on V to all of U, keeping it intact on the core.
 
-    Blends with a filler sequence on U through a plateau weight that is
-    exactly 1 on the core and supported inside V; on the core the result
-    is the original kernel, bit for bit.
+    Blends with a standard filler sequence on U through a plateau weight
+    that is exactly 1 on the core and supported inside V; on the core the
+    result is the original kernel, bit for bit.
     """
     V = seq.domain
     if not V.is_subset(U):
@@ -699,39 +690,27 @@ def extend_seq(seq: KernelSequence, U: Domain, *, core: tuple[float, float],
     if not rise > 0:
         raise InvalidRadius("core must sit strictly inside one component of V")
     chi = plateau(lo, hi, rise)
-    one_minus = SmoothFn(U, lambda x, m: _one_minus_jets(chi, x, m), jet_cap=chi.jet_cap)
-    fill = filler if filler is not None else standard_sequence(
+    one_minus = constant(1.0, U) - chi
+    fill = standard_sequence(
         U, make_mollifier(seq.grade if seq.grade is not None else 3))
 
     def maker(k: int) -> Kernel:
         return GluedKernel([(chi, seq.at(k)), (one_minus, fill.at(k))], U)
 
     grade = seq.grade if seq.grade == fill.grade else None
-    rb = None
-    if seq.radius_bound is not None and fill.radius_bound is not None:
-        rb = lambda k: max(seq.radius_bound(k), fill.radius_bound(k))
-    return KernelSequence(U, maker, grade=grade, radius_bound=rb,
-                          label=f"extend({seq.label})")
+    return KernelSequence(U, maker, grade=grade, label=f"extend({seq.label})")
 
 
-def _one_minus_jets(chi: SmoothFn, x: np.ndarray, m: int) -> np.ndarray:
-    out = -chi.jets(x, m)
-    out[0] += 1.0
-    return out
-
-
-def constant_witness_seq(domain: Domain = DEFAULT_DOMAIN,
-                         tf: TestFn | None = None) -> KernelSequence:
+def constant_witness_seq(domain: Domain = DEFAULT_DOMAIN) -> KernelSequence:
     """A deliberately non-localizing sequence: the same fat density at
     every x and every k.  The standard counterexample for everything
     that genuinely needs shrinking supports."""
-    if tf is None:
-        lo, hi = domain.hull()
-        mid = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
-        rad = 0.75 * (hi - lo) / 2 if math.isfinite(lo) and math.isfinite(hi) else 1.0
-        tf = TestFn(bump(mid, rad, domain))
+    lo, hi = domain.hull()
+    mid = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
+    rad = 0.75 * (hi - lo) / 2 if math.isfinite(lo) and math.isfinite(hi) else 1.0
+    tf = TestFn(bump(mid, rad, domain))
     return KernelSequence(domain, lambda k: ConstantKernel(tf, domain),
-                          grade=None, radius_bound=None, label="constant-witness")
+                          grade=None, label="constant-witness")
 
 
 def combo_seq(terms, label: str = "combo") -> KernelSequence:
@@ -782,8 +761,10 @@ def apply_kernel(ker: Kernel, u) -> SmoothFn:
         raise TypeError("apply_kernel expects a Distribution")
     if not u.domain.is_subset(ker.domain):
         raise DomainMismatch("distribution must live on the kernel's domain")
-    dpts = np.array(sorted({t.point for t in u.deltas}))
     dmax = u.max_delta_order
+    if dmax > ker.jet_cap:
+        raise JetCapExceeded(f"order {dmax} exceeds jet cap {ker.jet_cap}")
+    dpts = np.array(sorted({t.point for t in u.deltas}))
 
     def jet_all(x, m):
         out = np.zeros((m + 1, x.size))
@@ -838,12 +819,12 @@ class EventualEquality:
 
 
 def eventually_equal(seq_a: KernelSequence, seq_b: KernelSequence, probes,
-                     *, k_grid=DEFAULT_K_GRID, tol: float = 1e-12,
-                     n_y: int = 257) -> EventualEquality:
+                     *, k_grid=DEFAULT_K_GRID) -> EventualEquality:
     """Per-probe first rate index from which the kernels agree in sup norm.
 
-    Equality is measured on a y-grid over the union of both windows; a
-    probe maps to None when no tail of the grid stays within tolerance.
+    Equality is measured on a 257-point y-grid over the union of both
+    windows, to 1e-12; a probe maps to None when no tail of the grid
+    stays within that tolerance.
     """
     ks = sorted(int(k) for k in k_grid)
     found = {}
@@ -857,10 +838,10 @@ def eventually_equal(seq_a: KernelSequence, seq_b: KernelSequence, probes,
                 continue
             wa, wb = ka.y_window(x), kb.y_window(x)
             w = wa.hull(wb)
-            ys = np.linspace(w.lo, w.hi, n_y)
+            ys = np.linspace(w.lo, w.hi, 257)
             va = ka.jets(x, 0, ys, 0)[0, 0]
             vb = kb.jets(x, 0, ys, 0)[0, 0]
-            ok.append(bool(np.max(np.abs(va - vb)) <= tol))
+            ok.append(bool(np.max(np.abs(va - vb)) <= 1e-12))
         k0 = None
         for i in range(len(ks)):
             if all(ok[i:]):
@@ -871,20 +852,15 @@ def eventually_equal(seq_a: KernelSequence, seq_b: KernelSequence, probes,
                             tuple(ks))
 
 
-def is_localizing(seq: KernelSequence, *, probes=None,
-                  k_grid=DEFAULT_K_GRID) -> bool:
+def is_localizing(seq: KernelSequence, *, k_grid=DEFAULT_K_GRID) -> bool:
     """Do the kernel supports shrink to points, uniformly along probes?"""
-    ks = sorted(int(k) for k in k_grid)
-    if seq.radius_bound is not None:
-        r0, r1 = seq.radius_bound(ks[0]), seq.radius_bound(ks[-1])
-        return bool(r1 < r0 / 2 and r1 < 1.0)
-    if probes is None:
+    ks = (min(k_grid), max(k_grid))
+    r0, r1 = (seq.radius_bound(k) for k in ks)
+    if r0 is None or r1 is None:
         lo, hi = seq.domain.hull()
         lo = lo if math.isfinite(lo) else -2.0
         hi = hi if math.isfinite(hi) else 2.0
         probes = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 7)
-    radii = []
-    for k in (ks[0], ks[-1]):
-        ker = seq.at(k)
-        radii.append(max(ker.y_window(float(x)).width / 2 for x in probes))
-    return bool(radii[1] < radii[0] / 2 and radii[1] < 1.0)
+        r0, r1 = (max(seq.at(k).y_window(float(x)).width / 2 for x in probes)
+                  for k in ks)
+    return bool(r1 < r0 / 2 and r1 < 1.0)

@@ -117,11 +117,17 @@ def sigma_seq(f: SmoothFn, domain: Domain | None = None, *,
 
 @dataclass(frozen=True)
 class SimplifiedClassification:
-    moderate: bool
-    negligible: bool
     growth: dict   # m -> SweepVerdict
     decay: dict    # m -> SweepVerdict
     region: CompactInterval
+
+    @property
+    def moderate(self) -> bool:
+        return all(sv.ok for sv in self.growth.values())
+
+    @property
+    def negligible(self) -> bool:
+        return all(sv.ok for sv in self.decay.values())
 
 
 def classify_seq(rep: SimplifiedRep, *, K: CompactInterval | None = None,
@@ -135,19 +141,12 @@ def classify_seq(rep: SimplifiedRep, *, K: CompactInterval | None = None,
     K = K if K is not None else default_region(rep.domain)
     growth: dict = {}
     decay: dict = {}
-    moderate = True
-    negligible = True
     for m in orders:
         fit = fit_order([seminorm(f, K, m, grid=CLASSIFIER_GRID)
                          for f in rep.fns], rep.k_grid)
-        g_ok = fit.exact_zero or fit.slope <= MODERATE_BOUND
-        n_ok = fit.exact_zero or fit.peak < FLOOR_REL \
-            or fit.slope <= NEGLIGIBLE_SLOPE
-        growth[m] = SweepVerdict(fit, MODERATE_BOUND, 0.0, g_ok)
-        decay[m] = SweepVerdict(fit, NEGLIGIBLE_SLOPE, FLOOR_REL, n_ok)
-        moderate = moderate and g_ok
-        negligible = negligible and n_ok
-    return SimplifiedClassification(moderate, negligible, growth, decay, K)
+        growth[m] = SweepVerdict(fit, MODERATE_BOUND)
+        decay[m] = SweepVerdict(fit, NEGLIGIBLE_SLOPE, FLOOR_REL)
+    return SimplifiedClassification(growth, decay, K)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -708,21 +708,12 @@ def constant_field(c: float, domain: Domain = REALS) -> VectorField:
     return VectorField(constant(c, domain))
 
 
-def lie_smooth(X: VectorField, f: SmoothFn, mode: str = "function") -> SmoothFn:
-    """Lie derivative along X.
+def lie_smooth(X: VectorField, f: SmoothFn) -> SmoothFn:
+    """Lie derivative X f' of a scalar field along X.
 
-    function mode: X f' (directional derivative of a scalar field);
-    nform mode:    X f' + X' f (f transforms as a density / 1-form in 1D).
     Supports are preserved; the jet cap drops by one.
     """
-    Xf = X.coef
-    df = derivative_fn(f, 1)
-    if mode == "function":
-        out = _product(Xf, df)
-    elif mode == "nform":
-        out = _product(Xf, df) + _product(derivative_fn(Xf, 1), f)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    out = _product(X.coef, derivative_fn(f, 1))
     if f.support is not None and out.support is None:
         out = SmoothFn(out.domain, out._jet_all, support=f.support,
                        jet_cap=out.jet_cap, breaks=out.breaks)
@@ -733,14 +724,13 @@ def lie_smooth(X: VectorField, f: SmoothFn, mode: str = "function") -> SmoothFn:
 # seminorms
 
 
-def seminorm(f: SmoothFn, K, m: int, *, grid: int = SEMINORM_GRID,
-             zoom: int = 2) -> float:
+def seminorm(f: SmoothFn, K, m: int, *, grid: int = SEMINORM_GRID) -> float:
     """sup over K of |f^(a)| for all orders a <= m, on a deterministic grid.
 
     The grid has ``grid`` uniform points plus one midpoint refinement pass
     (midpoints of every adjacent pair), i.e. 2*grid - 1 samples total.
-    ``zoom`` extra passes then resample densely around the best point seen,
-    so a narrow spike straddling two grid points is still measured; the
+    Two zoom passes then resample densely around the best point seen, so
+    a narrow spike straddling two grid points is still measured; the
     estimate never decreases with zooming.
     """
     K = _as_compact(K)
@@ -753,7 +743,7 @@ def seminorm(f: SmoothFn, K, m: int, *, grid: int = SEMINORM_GRID,
     best = float(vals.max())
     x0 = float(pts[vals.max(axis=0).argmax()])
     h = 0.5 * (K.hi - K.lo) / (grid - 1)
-    for _ in range(zoom):
+    for _ in range(2):
         zpts = np.linspace(max(K.lo, x0 - h), min(K.hi, x0 + h), 65)
         zv = np.abs(f.jets(zpts, m))
         zbest = float(zv.max())
@@ -788,19 +778,11 @@ _GK_WG = np.array([
 ])
 
 
-class QuadResult(tuple):
-    """(value, error) with attribute access."""
+class QuadResult(NamedTuple):
+    """An integral estimate and its error bound."""
 
-    def __new__(cls, value: float, error: float):
-        return super().__new__(cls, (value, error))
-
-    @property
-    def value(self) -> float:
-        return self[0]
-
-    @property
-    def error(self) -> float:
-        return self[1]
+    value: float
+    error: float
 
 
 def _gk_panel(fn, lo: float, hi: float) -> tuple[float, float, float]:
@@ -815,10 +797,11 @@ def _gk_panel(fn, lo: float, hi: float) -> tuple[float, float, float]:
 
 
 _QUAD_NOISE = 1e-14  # relative to the integral of |f|
+MAX_PANELS = 4096
 
 
 def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-              points: Iterable[float] = (), max_panels: int = 4096) -> QuadResult:
+              points: Iterable[float] = ()) -> QuadResult:
     """Deterministic adaptive Gauss-Kronrod integration.
 
     ``points`` lists interior locations that force panel boundaries
@@ -851,9 +834,9 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
         floor = _QUAD_NOISE * sum(p[4] for p in panels)
         if toterr <= max(abs_tol, rel_tol * abs(total), floor):
             return QuadResult(total, toterr)
-        if len(panels) >= max_panels:
+        if len(panels) >= MAX_PANELS:
             raise NoConvergence(
-                f"quadrature budget ({max_panels} panels) exhausted", total, toterr)
+                f"quadrature budget ({MAX_PANELS} panels) exhausted", total, toterr)
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
         a, b, _, _, _ = panels.pop(worst)
         mid = 0.5 * (a + b)

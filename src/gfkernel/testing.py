@@ -121,27 +121,26 @@ def element_family(R: BasicElement, seq: KernelSequence):
 
 
 def sweep_seminorms(family, K: CompactInterval, m: int,
-                    k_grid=DEFAULT_K_GRID,
-                    grid: int = CLASSIFIER_GRID) -> AsymptoticFit:
-    vals = [seminorm(family(k), K, m, grid=grid) for k in k_grid]
+                    k_grid=DEFAULT_K_GRID) -> AsymptoticFit:
+    vals = [seminorm(family(k), K, m, grid=CLASSIFIER_GRID) for k in k_grid]
     return fit_order(vals, k_grid)
 
 
-def _plateau_series_sup(f: SmoothFn, ker: Kernel, K: CompactInterval, m: int,
-                        terms: int) -> float | None:
+def _plateau_series_sup(f: SmoothFn, ker: Kernel, K: CompactInterval,
+                        m: int) -> float | None:
     """sup over K of the m-th derivative of (smoothing residual of f),
     via the exact moment expansion; None when the kernel cannot offer it."""
     moll = ker.mollifier
-    if moll is None or f.jet_cap < m + terms + 1:
+    if moll is None or f.jet_cap < m + SERIES_TERMS + 1:
         return None
     xs = np.linspace(K.lo, K.hi, 129)
     scales = [ker.plateau_scale(float(x)) for x in (K.lo, 0.5 * (K.lo + K.hi), K.hi)]
     if any(s is None for s in scales) or len({round(s, 12) for s in scales}) != 1:
         return None
     s = scales[0]
-    jets = f.jets(xs, m + terms)
+    jets = f.jets(xs, m + SERIES_TERMS)
     acc = np.zeros(xs.size)
-    for a in range(1, terms + 1):
+    for a in range(1, SERIES_TERMS + 1):
         ma = moll.moment(a)
         if ma == 0.0:
             continue
@@ -151,14 +150,13 @@ def _plateau_series_sup(f: SmoothFn, ker: Kernel, K: CompactInterval, m: int,
 
 def embedding_residual_sweep(f: SmoothFn, seq: KernelSequence, *,
                              K: CompactInterval | None = None, m: int = 0,
-                             k_grid=DEFAULT_K_GRID,
-                             terms: int = SERIES_TERMS) -> AsymptoticFit:
+                             k_grid=DEFAULT_K_GRID) -> AsymptoticFit:
     """Rate of p_{K,m}((iota f - sigma f)(psi_k)) along the sequence."""
     K = K if K is not None else default_region(seq.domain)
     vals = []
     for k in k_grid:
         ker = seq.at(k)
-        v = _plateau_series_sup(f, ker, K, m, terms)
+        v = _plateau_series_sup(f, ker, K, m)
         if v is None:
             diff = eval_basic(Iota(regular(f, domain=seq.domain)), ker) \
                 - (f if f.domain == seq.domain else
@@ -200,8 +198,7 @@ def _pairing(fn: SmoothFn, phi: TestFn, hints=()) -> float:
 
 def _hints_at(R: BasicElement, seq: KernelSequence, k: int) -> tuple[float, ...]:
     pts = _singular_points(R)
-    rb = seq.radius_bound
-    w = rb(k) if rb is not None else None
+    w = seq.radius_bound(k)
     out = []
     for p in pts:
         out.append(p)
@@ -216,10 +213,19 @@ def _hints_at(R: BasicElement, seq: KernelSequence, k: int) -> tuple[float, ...]
 
 @dataclass(frozen=True)
 class SweepVerdict:
+    """A fitted sweep against its slope bound.
+
+    It passes when the fit decays at least as fast as ``bound`` or when
+    every value sits below the resolution ``floor``.
+    """
+
     fit: AsymptoticFit
     bound: float
-    floor: float
-    ok: bool
+    floor: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.fit.decays(self.bound) or self.fit.peak < self.floor
 
 
 @dataclass(frozen=True)
@@ -230,9 +236,18 @@ class TestObjectReport:
     rate: dict = field(repr=False)          # (probe, m) -> SweepVerdict
     growth: dict = field(repr=False)        # m -> SweepVerdict
     weak: dict = field(repr=False)          # (dist, battery idx) -> SweepVerdict
-    rate_ok: bool = True
-    growth_ok: bool = True
-    weak_ok: bool = True
+
+    @property
+    def rate_ok(self) -> bool:
+        return all(sv.ok for sv in self.rate.values())
+
+    @property
+    def growth_ok(self) -> bool:
+        return all(sv.ok for sv in self.growth.values())
+
+    @property
+    def weak_ok(self) -> bool:
+        return all(sv.ok for sv in self.weak.values())
 
     @property
     def passed(self) -> bool:
@@ -251,9 +266,8 @@ def _rate_battery(q: int, domain: Domain):
 
 def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
                          K: CompactInterval | None = None,
-                         k_grid=DEFAULT_K_GRID, orders=DEFAULT_ORDERS,
-                         margin: float = 0.5,
-                         terms: int = SERIES_TERMS) -> TestObjectReport:
+                         k_grid=DEFAULT_K_GRID,
+                         orders=DEFAULT_ORDERS) -> TestObjectReport:
     """Check the three defining conditions of a graded test object.
 
     (i) the induced smoothing operators converge to the identity on
@@ -269,23 +283,19 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
     if q is None:
         raise ValueError("sequence carries no grade; pass grade=")
     K = K if K is not None else default_region(seq.domain)
-    bound = -(q + 1) + margin
+    bound = -(q + 1) + 0.5
 
     rate: dict = {}
-    rate_ok = True
     for name, f in _rate_battery(q, seq.domain):
         for m in orders:
-            fit = embedding_residual_sweep(f, seq, K=K, m=m, k_grid=k_grid,
-                                           terms=terms)
+            fit = embedding_residual_sweep(f, seq, K=K, m=m, k_grid=k_grid)
             floor = FLOOR_REL * max(1.0, seminorm(f, K, m))
-            ok = fit.exact_zero or fit.peak < floor or fit.slope <= bound
-            rate[(name, m)] = SweepVerdict(fit, bound, floor, ok)
-            rate_ok = rate_ok and ok
+            rate[(name, m)] = SweepVerdict(fit, bound, floor)
 
     growth: dict = {}
-    growth_ok = True
     xs = np.linspace(K.lo, K.hi, 33)
     for m in orders:
+        tri = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m
         vals = []
         for k in k_grid:
             ker = seq.at(k)
@@ -294,17 +304,11 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
                 w = ker.y_window(float(x))
                 ys = np.linspace(w.lo, w.hi, 65)
                 J = ker.jets(float(x), m, ys, m)
-                for i in range(m + 1):
-                    for j in range(m + 1 - i):
-                        worst = max(worst, float(np.max(np.abs(J[i, j]))))
+                worst = max(worst, float(np.max(np.abs(J[tri]))))
             vals.append(worst)
-        fit = fit_order(vals, k_grid)
-        ok = fit.exact_zero or fit.slope <= MODERATE_BOUND
-        growth[m] = SweepVerdict(fit, MODERATE_BOUND, 0.0, ok)
-        growth_ok = growth_ok and ok
+        growth[m] = SweepVerdict(fit_order(vals, k_grid), MODERATE_BOUND)
 
     weak: dict = {}
-    weak_ok = True
     mid = 0.5 * (K.lo + K.hi)
     sing = [("delta", delta(mid, domain=seq.domain)),
             ("step", heaviside(seq.domain, jump_at=mid))]
@@ -316,20 +320,16 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
             target = pair(u, phi).value
             vals = [_windowed_residual(fns[k], u, phi, mid, ws[k])
                     for k in k_grid]
-            fit = fit_order(vals, k_grid)
-            scale = max(1.0, abs(target))
-            ok = fit.exact_zero or fit.peak < FLOOR_REL * scale \
-                or fit.slope <= -0.5
-            weak[(uname, idx)] = SweepVerdict(fit, -0.5, FLOOR_REL * scale, ok)
-            weak_ok = weak_ok and ok
+            floor = FLOOR_REL * max(1.0, abs(target))
+            weak[(uname, idx)] = SweepVerdict(fit_order(vals, k_grid), -0.5, floor)
 
-    return TestObjectReport(q, rate, growth, weak, rate_ok, growth_ok, weak_ok)
+    return TestObjectReport(q, rate, growth, weak)
 
 
 def _window_radius(seq: KernelSequence, k: int, p: float) -> float:
-    rb = seq.radius_bound
+    rb = seq.radius_bound(k)
     if rb is not None:
-        return float(rb(k))
+        return float(rb)
     w = seq.at(k).y_window(p)
     return 1.5 * 0.5 * w.width
 
@@ -370,9 +370,12 @@ def _windowed_residual(fn: SmoothFn, u, phi: TestFn, p: float,
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    verdict: bool
     sweeps: dict  # m -> SweepVerdict
     region: CompactInterval
+
+    @property
+    def verdict(self) -> bool:
+        return all(sv.ok for sv in self.sweeps.values())
 
 
 @lru_cache(maxsize=32)
@@ -383,26 +386,19 @@ def default_family(domain: Domain, q: int) -> KernelSequence:
 
 def is_moderate(R: BasicElement, seq: KernelSequence | None = None, *,
                 K: CompactInterval | None = None, k_grid=DEFAULT_K_GRID,
-                orders=DEFAULT_ORDERS,
-                bound: float = MODERATE_BOUND) -> ClassificationReport:
+                orders=DEFAULT_ORDERS) -> ClassificationReport:
     """Polynomial growth of all compact seminorms along the family."""
     seq = seq if seq is not None else default_family(R.domain, 3)
     K = K if K is not None else default_region(seq.domain)
     fam = element_family(R, seq)
-    sweeps = {}
-    verdict = True
-    for m in orders:
-        fit = sweep_seminorms(fam, K, m, k_grid)
-        ok = fit.exact_zero or fit.slope <= bound
-        sweeps[m] = SweepVerdict(fit, bound, 0.0, ok)
-        verdict = verdict and ok
-    return ClassificationReport(verdict, sweeps, K)
+    sweeps = {m: SweepVerdict(sweep_seminorms(fam, K, m, k_grid), MODERATE_BOUND)
+              for m in orders}
+    return ClassificationReport(sweeps, K)
 
 
 def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
                   K: CompactInterval | None = None, k_grid=DEFAULT_K_GRID,
-                  orders=DEFAULT_ORDERS,
-                  slope_bound: float = NEGLIGIBLE_SLOPE) -> ClassificationReport:
+                  orders=DEFAULT_ORDERS) -> ClassificationReport:
     """Vanishing to all orders, at the resolution a seminorm sweep has.
 
     Each derivative order m is swept along a probe family of grade m+1,
@@ -419,15 +415,11 @@ def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
     """
     K = K if K is not None else default_region(R.domain)
     sweeps = {}
-    verdict = True
     for m in orders:
         fam_seq = seq if seq is not None else default_family(R.domain, m + 1)
-        fam = element_family(R, fam_seq)
-        fit = sweep_seminorms(fam, K, m, k_grid)
-        ok = fit.exact_zero or fit.peak < FLOOR_REL or fit.slope <= slope_bound
-        sweeps[m] = SweepVerdict(fit, slope_bound, FLOOR_REL, ok)
-        verdict = verdict and ok
-    return ClassificationReport(verdict, sweeps, K)
+        fit = sweep_seminorms(element_family(R, fam_seq), K, m, k_grid)
+        sweeps[m] = SweepVerdict(fit, NEGLIGIBLE_SLOPE, FLOOR_REL)
+    return ClassificationReport(sweeps, K)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +428,12 @@ def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
 
 @dataclass(frozen=True)
 class AssociationReport:
-    verdict: bool
     sweeps: dict  # battery index -> SweepVerdict
     slope_bound: float
+
+    @property
+    def verdict(self) -> bool:
+        return all(sv.ok for sv in self.sweeps.values())
 
 
 ASSOC_FLOOR_REL = 1e-9
@@ -470,7 +465,6 @@ def associated(A: BasicElement, B: BasicElement | None = None, *,
     parts = _summands(A) + (_summands(B) if B is not None else [])
     pfns = {k: [eval_basic(P, seq.at(k)) for P in parts] for k in k_grid}
     sweeps = {}
-    verdict = True
     for idx, phi in enumerate(battery):
         vals = []
         scale = 0.0
@@ -478,12 +472,9 @@ def associated(A: BasicElement, B: BasicElement | None = None, *,
             vals.append(_pairing(fns[k], phi, hints[k]))
             scale = max(scale, sum(_pair_scale(f, phi, hints[k])
                                    for f in pfns[k]))
-        fit = fit_order(vals, k_grid)
         floor = ASSOC_FLOOR_REL * scale + FLOOR_REL
-        ok = fit.exact_zero or fit.peak < floor or fit.slope <= slope_bound
-        sweeps[idx] = SweepVerdict(fit, slope_bound, floor, ok)
-        verdict = verdict and ok
-    return AssociationReport(verdict, sweeps, slope_bound)
+        sweeps[idx] = SweepVerdict(fit_order(vals, k_grid), slope_bound, floor)
+    return AssociationReport(sweeps, slope_bound)
 
 
 def _summands(R: BasicElement) -> list[BasicElement]:

@@ -2,9 +2,12 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfkernel.basic import eval_basic, iota, sigma
 from gfkernel.cli import main, parse_config, parse_expr
@@ -77,6 +80,32 @@ class TestExpressions:
         assert "position" in str(exc.value)
 
 
+_GRAMMAR_TOKENS = [
+    "iota", "sigma", "liehat", "lietilde", "restrict", "delta", "ddelta",
+    "H", "fn:", "sin", "x2", "nope", "(", ")", "[", "]", ",", "+", "-", "*",
+    ".", "e", "0", "1", "9", "1e308", " ",
+]
+# well-formed pieces, so that fragments reach the combining rules too
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["iota(H)", "iota(delta(0.5))", "sigma(fn:sin)", "2", "1e308"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        inner.map("restrict[0,1]({})".format),
+        inner.map("liehat({})".format),
+        inner.map("({})".format)),
+    max_leaves=6)
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.one_of(st.sampled_from(_GRAMMAR_TOKENS), _WELL_FORMED),
+                max_size=8).map("".join))
+def test_parser_fuzz_raises_only_parse_errors(src):
+    try:
+        parse_expr(src, DOM)
+    except ParseError:
+        pass
+
+
 class TestConfig:
     def test_full_config_roundtrip(self, tmp_path):
         p = tmp_path / "a.cfg"
@@ -128,6 +157,25 @@ class TestExitCodes:
                      "1e200*iota(delta(0))*(1e200*iota(delta(0)))"])
         assert code == 3
         assert "not all finite" in capsys.readouterr().err
+
+    def test_overflow_stops_the_run_without_a_warning(self, quick_cfg, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", quick_cfg, "classify",
+                         "1e200*iota(delta(0))*(1e200*iota(delta(0)))"])
+        assert code == 3
+        assert "not all finite" in capsys.readouterr().err
+
+    def test_huge_delta_order_is_numerical_failure(self, quick_cfg, capsys):
+        code = main(["--config", quick_cfg, "classify", "iota(ddelta(0, 1e18))"])
+        assert code == 3
+        assert "exceeds jet cap" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, quick_cfg, capsys):
+        # a flat product deeper than the interpreter's recursion limit
+        expr = "*".join(["sigma(fn:one)"] * 1500)
+        assert main(["--config", quick_cfg, "classify", expr]) == 4
+        assert "internal error: RecursionError" in capsys.readouterr().err
 
     def test_moderate_element_classifies_clean(self, quick_cfg, capsys):
         code = main(["--config", quick_cfg, "classify", "iota(delta(0))"])

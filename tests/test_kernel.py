@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfkernel.dist import delta, regular
-from gfkernel.errors import NoSeparation, NotContained
+from gfkernel.errors import JetCapExceeded, NoSeparation, NotContained
 from gfkernel.kernel import (
     ConstantKernel,
     PullbackKernel,
@@ -169,6 +169,25 @@ class TestDerivedKernels:
         np.testing.assert_allclose(ker.jets(0.0, 0, ys, 0), want,
                                    rtol=0, atol=1e-13)
 
+    def test_radius_bound_is_the_kernels_own(self, q3_seq, q1_seq):
+        V = Domain.interval(-1.0, 1.0)
+        cover = [(-2.0, 0.2), (-0.2, 2.0)]
+        seqs = {
+            "standard": q3_seq,
+            "lie": lie_seq(constant_field(1.0, DOM), q3_seq),
+            "restrict": restrict_seq(q3_seq, V),
+            "glue": glue_seqs(cover, [restrict_seq(q3_seq, Domain.interval(*c))
+                                      for c in cover], domain=DOM),
+            "extend": extend_seq(restrict_seq(q3_seq, V), DOM, core=(-0.5, 0.5)),
+            "combo": combo_seq([(0.25, q3_seq), (0.75, q1_seq)]),
+        }
+        for name, seq in seqs.items():
+            for k in (8, 16):
+                assert seq.radius_bound(k) == seq.at(k).radius_sup(), name
+                # every piece is a standard kernel with plateau scale 0.8
+                assert seq.radius_bound(k) == 0.8 / k, name
+        assert constant_witness_seq(DOM).radius_bound(8) is None
+
     def test_pullback_is_plain_composition(self, q3_seq):
         # (mu^* phi)(x)(y) = phi(mu x)(mu y); no derivative factor anywhere
         img = Domain.interval(-3.0, 5.0)
@@ -238,6 +257,11 @@ class TestApplication:
         out = apply_kernel(ker, delta(0.0, order=1, domain=DOM))
         want = -ker.jets(0.05, 0, np.array([0.0]), 1)[0, 1, 0]
         assert out.jet(0.05, 0) == pytest.approx(want, abs=1e-12)
+
+    def test_delta_order_above_jet_cap_fails_before_pairing(self, q3_seq):
+        # an order of 10**18 would otherwise size a kernel-jet array in EiB
+        with pytest.raises(JetCapExceeded):
+            apply_kernel(q3_seq.at(8), delta(0.0, order=10**18, domain=DOM))
 
     def test_smooth_density_reproduced_to_grade_order(self, q3_seq):
         out = apply_kernel(q3_seq.at(64), regular(sin_fn(), domain=DOM))

@@ -12,6 +12,9 @@ from gfkernel.kernel import constant_witness_seq, make_mollifier, standard_seque
 from gfkernel.smooth import CompactInterval, Domain, constant_field, polynomial, sin_fn
 from gfkernel.smooth import VectorField
 from gfkernel.testing import (
+    AsymptoticFit,
+    ClassificationReport,
+    SweepVerdict,
     associated,
     default_region,
     element_family,
@@ -67,6 +70,29 @@ class TestFitting:
     def test_default_region_is_central_quarter(self):
         K = default_region(DOM)
         assert K == CompactInterval(-0.5, 0.5)
+
+
+def _flat_fit(slope, peak=1.0):
+    return AsymptoticFit(SHORT_KS, (peak,) * 3, slope, 0.0, 0.0, False)
+
+
+class TestSweepVerdict:
+    @pytest.mark.parametrize("fit,floor,ok", [
+        (fit_order([0.0] * 3, SHORT_KS), 0.0, True),     # identically zero
+        (_flat_fit(0.0, peak=1e-14), 1e-13, True),       # all below the floor
+        (_flat_fit(0.0, peak=1e-14), 0.0, False),        # same sweep, no floor
+        (_flat_fit(-0.5), 0.0, True),                    # slope at the bound
+        (_flat_fit(math.nextafter(-0.5, 0.0)), 0.0, False),  # just above it
+    ])
+    def test_pass_rule(self, fit, floor, ok):
+        assert SweepVerdict(fit, -0.5, floor).ok is ok
+
+    def test_report_verdict_reads_its_sweeps(self):
+        good = SweepVerdict(_flat_fit(-1.0), -0.5)
+        bad = SweepVerdict(_flat_fit(0.0), -0.5)
+        K = default_region(DOM)
+        assert ClassificationReport({0: good, 1: good}, K).verdict
+        assert not ClassificationReport({0: good, 1: bad}, K).verdict
 
 
 class TestEmbeddingResidual:
