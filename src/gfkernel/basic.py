@@ -24,8 +24,8 @@ import numpy as np
 from .dist import Distribution, restrict_dist
 from .errors import DomainMismatch, NotContained, WrongTag
 from .kernel import (
-    AffineComboKernel,
     ConstantKernel,
+    GluedKernel,
     Kernel,
     KernelSequence,
     LieKernel,
@@ -35,7 +35,6 @@ from .kernel import (
     standard_sequence,
 )
 from .smooth import (
-    _leibniz,
     CompactInterval,
     Domain,
     SmoothFn,
@@ -47,6 +46,7 @@ from .smooth import (
     lie_smooth,
     lin_comb,
     restrict_view,
+    smoothstep,
 )
 
 # the locality chain, ordered by how little of the kernel an element sees
@@ -82,10 +82,6 @@ class BasicElement:
     """Base node; subclasses carry the structure of their construction."""
 
     domain: Domain
-
-    @property
-    def tag(self) -> LocalityTag:
-        return tag_of(self)
 
     def __add__(self, other):
         if isinstance(other, BasicElement):
@@ -453,10 +449,12 @@ def _fd_differential(R: GenericElement, ker: Kernel,
     h = FD_STEP
     psi = dirs[0]
     rest = dirs[1:]
+    dom = ker.domain
+    one = constant(1.0, dom)
 
     def D(step: float) -> SmoothFn:
-        plus = AffineComboKernel([(1.0, ker), (step, psi)])
-        minus = AffineComboKernel([(1.0, ker), (-step, psi)])
+        plus = GluedKernel([(one, ker), (constant(step, dom), psi)], dom)
+        minus = GluedKernel([(one, ker), (constant(-step, dom), psi)], dom)
         if rest:
             a = _fd_differential(R, plus, rest)
             b = _fd_differential(R, minus, rest)
@@ -600,7 +598,7 @@ def probe_locality(R: BasicElement) -> LocalityReport:
 
     # linearity: R(a phi + b psi) vs a R(phi) + b R(psi)
     ca, cb = 0.3, -1.2
-    combo = AffineComboKernel([(ca, ka), (cb, kb)])
+    combo = GluedKernel([(constant(ca, dom), ka), (constant(cb, dom), kb)], dom)
     lhs = d_eval(R, combo, ())
     rhs = lin_comb([d_eval(R, ka, ()), d_eval(R, kb, ())], [ca, cb])
     defect = sup_on(lhs - rhs, lo + 0.1 * L, hi - 0.1 * L)
@@ -636,42 +634,17 @@ def probe_locality(R: BasicElement) -> LocalityReport:
     defects["point_local"] = worst / ref
     point_local = worst <= tol * ref
 
-    # locality: kernels agreeing on a left region must give equal output
-    # deep inside it
+    # locality: ka left of the seam, kb right of a ramp in x after it;
+    # the output must not change deep inside the left region
     cut = lo + 0.55 * L
-    patched = _PatchedKernel(ka, kb, cut + 0.1 * L)
+    seam = cut + 0.1 * L
+    ramp = smoothstep(seam, seam + 0.1 * L)
+    patched = GluedKernel([(constant(1.0) - ramp, ka), (ramp, kb)], dom)
     defect = sup_on(base_out - d_eval(R, patched, ()), lo + 0.1 * L, cut - 0.15 * L)
     defects["local"] = defect / ref
     local = defect <= tol * ref
 
     return LocalityReport(local, point_local, point_independent, linear, defects)
-
-
-class _PatchedKernel(Kernel):
-    """base left of the seam, other to the right, glued by a smooth ramp
-    in x only; agrees with base exactly left of the ramp."""
-
-    def __init__(self, base: Kernel, other: Kernel, seam: float):
-        from .smooth import smoothstep
-
-        self.base = base
-        self.other = other
-        lo, hi = base.domain.hull()
-        width = 0.1 * (hi - lo)
-        self.ramp = smoothstep(seam, seam + width)
-        self.domain = base.domain
-        self.jet_cap = min(base.jet_cap, other.jet_cap)
-
-    def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        w = self.ramp.jets(np.array([x]), mx)[:, 0]
-        B = self.base.jets(x, mx, ys, my)
-        if not w.any():
-            return B
-        O = self.other.jets(x, mx, ys, my)
-        return B + _leibniz(w[:, None, None], O - B)
-
-    def y_window(self, x: float) -> CompactInterval:
-        return self.base.y_window(x).hull(self.other.y_window(x))
 
 
 # ---------------------------------------------------------------------------

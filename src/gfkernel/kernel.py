@@ -78,13 +78,15 @@ class Mollifier:
         if a % 2 == 1:
             return 0.0
         if a not in self._moments:
-            f = self.fn
-            r = self.radius
-            res = integrate(lambda t, a=a: t ** a * f.jet(t, 0), (-r, r),
-                            rel_tol=MOMENT_REL_TOL, abs_tol=MOMENT_ABS_TOL,
-                            points=(0.0,))
-            self._moments[a] = res.value
+            self._moments[a] = _moment(self.fn, a, self.radius)
         return self._moments[a]
+
+
+def _moment(f: SmoothFn, a: int, r: float) -> float:
+    """int_{-r}^{r} t^a f(t) dt at the moment tolerances, split at 0."""
+    return integrate(lambda t: t ** a * f.jet(t, 0), (-r, r),
+                     rel_tol=MOMENT_REL_TOL, abs_tol=MOMENT_ABS_TOL,
+                     points=(0.0,)).value
 
 
 def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
@@ -103,14 +105,7 @@ def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
     b = bump(0.0, radius)
     n = q // 2 + 2
     e_pin = 2 * (n - 1)
-
-    def base_moment(e: int) -> float:
-        res = integrate(lambda t, e=e: t ** e * b.jet(t, 0), (-radius, radius),
-                        rel_tol=MOMENT_REL_TOL, abs_tol=MOMENT_ABS_TOL,
-                        points=(0.0,))
-        return res.value
-
-    B = {e: base_moment(e) for e in range(0, 4 * (n - 1) + 1, 2)}
+    B = {e: _moment(b, e, radius) for e in range(0, 4 * (n - 1) + 1, 2)}
     A = np.array([[B[2 * i + 2 * j] for j in range(n)] for i in range(n)])
     rhs = np.zeros(n)
     rhs[0] = 1.0
@@ -123,10 +118,7 @@ def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
     coeffs = np.zeros(2 * n - 1)
     coeffs[0::2] = c
     fn = b * polynomial(coeffs)
-    mass = integrate(lambda t: fn.jet(t, 0), (-radius, radius),
-                     rel_tol=MOMENT_REL_TOL, abs_tol=MOMENT_ABS_TOL,
-                     points=(0.0,)).value
-    fn = fn * (1.0 / mass)
+    fn = fn * (1.0 / _moment(fn, 0, radius))
     moll = Mollifier(fn, q, radius)
     for a in range(2, q + 1, 2):
         got = moll.moment(a)
@@ -421,7 +413,9 @@ class RestrictedKernel(Kernel):
 
 
 class GluedKernel(Kernel):
-    """sum_l w_l(x) phi^l(x, .) for smooth weights subordinate to a cover."""
+    """sum_l w_l(x) phi^l(x, .): a gluing for weights subordinate to a
+    cover, a linear combination for constant weights.  A piece whose
+    weight jets all vanish at x is skipped there, not multiplied by 0."""
 
     def __init__(self, pieces, domain: Domain):
         self.pieces = tuple(pieces)  # (weight SmoothFn, Kernel)
@@ -462,39 +456,6 @@ class GluedKernel(Kernel):
 
     def radius_sup(self) -> float | None:
         rads = [ker.radius_sup() for _, ker in self.pieces]
-        if any(r is None for r in rads):
-            return None
-        return max(rads)
-
-
-class AffineComboKernel(Kernel):
-    """Pointwise linear combination of kernels on a common domain."""
-
-    def __init__(self, terms):
-        self.terms = tuple((float(c), k) for c, k in terms)
-        self.domain = self.terms[0][1].domain
-        for _, k in self.terms[1:]:
-            if k.domain != self.domain:
-                raise DomainMismatch("combined kernels must share a domain")
-        self.jet_cap = min(k.jet_cap for _, k in self.terms)
-
-    def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
-        out = np.zeros((mx + 1, my + 1, ys.size))
-        for c, k in self.terms:
-            if c != 0.0:
-                out += c * k.jets(x, mx, ys, my)
-        return out
-
-    def y_window(self, x: float) -> CompactInterval:
-        w = None
-        for _, k in self.terms:
-            piece = k.y_window(x)
-            w = piece if w is None else w.hull(piece)
-        return w
-
-    def radius_sup(self) -> float | None:
-        rads = [k.radius_sup() for _, k in self.terms]
         if any(r is None for r in rads):
             return None
         return max(rads)
@@ -715,11 +676,12 @@ def constant_witness_seq(domain: Domain = DEFAULT_DOMAIN) -> KernelSequence:
 
 def combo_seq(terms, label: str = "combo") -> KernelSequence:
     """Pointwise linear combination of sequences (for kernel directions)."""
-    seqs = [s for _, s in terms]
-    dom = seqs[0].domain
+    dom = terms[0][1].domain
+    if any(s.domain != dom for _, s in terms):
+        raise DomainMismatch("combined sequences must share a domain")
 
     def maker(k: int) -> Kernel:
-        return AffineComboKernel([(c, s.at(k)) for c, s in terms])
+        return GluedKernel([(constant(c, dom), s.at(k)) for c, s in terms], dom)
 
     return KernelSequence(dom, maker, label=label)
 

@@ -138,13 +138,6 @@ class CompactInterval:
         return self.hi - self.lo
 
 
-def _as_compact(K) -> CompactInterval:
-    if isinstance(K, CompactInterval):
-        return K
-    lo, hi = K
-    return CompactInterval(float(lo), float(hi))
-
-
 # ---------------------------------------------------------------------------
 # truncated-series helpers (coefficient arrays of shape (m+1, npoints))
 
@@ -339,10 +332,6 @@ class PiecewiseFn(SmoothFn):
         super().__init__(domain, jet_all, jet_cap=cap, breaks=bks)
 
 
-def zero(domain: Domain = REALS) -> SmoothFn:
-    return constant(0.0, domain)
-
-
 def constant(c: float, domain: Domain = REALS) -> SmoothFn:
     c = float(c)
 
@@ -368,10 +357,6 @@ def polynomial(coeffs: Sequence[float], domain: Domain = REALS) -> SmoothFn:
 
     cv = float(base[0]) if base.size == 1 or not base[1:].any() else None
     return SmoothFn(domain, jet_all, const_value=cv, jet_cap=99)
-
-
-def identity(domain: Domain = REALS) -> SmoothFn:
-    return polynomial([0.0, 1.0], domain)
 
 
 def sin_fn(domain: Domain = REALS) -> SmoothFn:
@@ -563,7 +548,7 @@ def _product(f: SmoothFn, g: SmoothFn) -> SmoothFn:
     if f.support is not None and g.support is not None:
         supp = f.support.intersect(g.support)
         if supp is None:
-            return zero(dom)
+            return constant(0.0, dom)
     elif f.support is not None:
         supp = f.support
     elif g.support is not None:
@@ -724,7 +709,8 @@ def lie_smooth(X: VectorField, f: SmoothFn) -> SmoothFn:
 # seminorms
 
 
-def seminorm(f: SmoothFn, K, m: int, *, grid: int = SEMINORM_GRID) -> float:
+def seminorm(f: SmoothFn, K: CompactInterval, m: int, *,
+             grid: int = SEMINORM_GRID) -> float:
     """sup over K of |f^(a)| for all orders a <= m, on a deterministic grid.
 
     The grid has ``grid`` uniform points plus one midpoint refinement pass
@@ -733,7 +719,6 @@ def seminorm(f: SmoothFn, K, m: int, *, grid: int = SEMINORM_GRID) -> float:
     a narrow spike straddling two grid points is still measured; the
     estimate never decreases with zooming.
     """
-    K = _as_compact(K)
     if not f.domain.contains_interval(K.lo, K.hi, strict=True):
         raise OutOfDomain(f"compact [{K.lo}, {K.hi}] not inside domain")
     xs = np.linspace(K.lo, K.hi, grid)
@@ -802,7 +787,7 @@ MAX_PANELS = 4096
 
 def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
               points: Iterable[float] = ()) -> QuadResult:
-    """Deterministic adaptive Gauss-Kronrod integration.
+    """Deterministic adaptive Gauss-Kronrod integration of a vectorized fn.
 
     ``points`` lists interior locations that force panel boundaries
     (support edges, piecewise breaks); refinement always splits the panel
@@ -817,15 +802,10 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         return QuadResult(0.0, 0.0)
-    if isinstance(fn, SmoothFn):
-        ev = lambda xs: fn.jet(xs, 0)
-        points = tuple(points) + fn.breaks
-    else:
-        ev = fn
     cuts = sorted({lo, hi, *(p for p in points if lo < p < hi)})
     panels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        panels.append((a, b) + _gk_panel(ev, a, b))
+        panels.append((a, b) + _gk_panel(fn, a, b))
     while True:
         total = sum(p[2] for p in panels)
         toterr = sum(p[3] for p in panels)
@@ -840,8 +820,8 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
         a, b, _, _, _ = panels.pop(worst)
         mid = 0.5 * (a + b)
-        panels.append((a, mid) + _gk_panel(ev, a, mid))
-        panels.append((mid, b) + _gk_panel(ev, mid, b))
+        panels.append((a, mid) + _gk_panel(fn, a, mid))
+        panels.append((mid, b) + _gk_panel(fn, mid, b))
 
 
 # ---------------------------------------------------------------------------
@@ -855,14 +835,6 @@ class PartitionOfUnity:
     pieces: tuple[tuple[float, float], ...]
     chis: tuple[SmoothFn, ...]
     covered: tuple[float, float]
-
-    def active_keys(self, x: float) -> list[int]:
-        out = []
-        for i, chi in enumerate(self.chis):
-            s = chi.support
-            if s is None or (s.lo <= x <= s.hi):
-                out.append(i)
-        return out
 
     def chi(self, key: int) -> SmoothFn:
         return self.chis[key]

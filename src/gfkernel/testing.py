@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basic import BasicElement, Iota, Sum, eval_basic
+from .basic import BasicElement, Iota, Pushforward, Sum, eval_basic
 from .dist import default_test_battery, delta, heaviside, pair, regular
 from .errors import NonFiniteSweep, TooFewPoints
 from .kernel import (
@@ -168,23 +168,24 @@ def embedding_residual_sweep(f: SmoothFn, seq: KernelSequence, *,
 
 def _singular_points(R: BasicElement) -> tuple[float, ...]:
     """Locations where an element's output can concentrate: delta points
-    and density breaks of its distribution leaves."""
-    pts: set[float] = set()
+    and density breaks of its distribution leaves, carried through each
+    pushforward into the coordinates of the element itself."""
 
-    def walk(node):
+    def walk(node) -> set[float]:
         if isinstance(node, Iota):
-            for t in node.u.deltas:
-                pts.add(t.point)
-            for t in node.u.densities:
-                pts.update(t.fn.breaks)
-            return
+            return ({t.point for t in node.u.deltas}
+                    | {b for t in node.u.densities for b in t.fn.breaks})
+        pts = set()
         for name in ("a", "b"):
             child = getattr(node, name, None)
             if isinstance(child, BasicElement):
-                walk(child)
+                pts |= walk(child)
+        if isinstance(node, Pushforward):
+            mu = node.mu
+            pts = {float(mu.fwd.jet(p, 0)) for p in pts if mu.source.contains(p)}
+        return pts
 
-    walk(R)
-    return tuple(sorted(pts))
+    return tuple(sorted(walk(R)))
 
 
 def _pairing(fn: SmoothFn, phi: TestFn, hints=()) -> float:

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from gfkernel import Domain, make_mollifier, standard_sequence
+
+# test_cli starts `python -m gfkernel.cli` in a subprocess; point it at
+# the sources this process imports, whether or not the package is installed
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH")) if p)
 
 # derandomize keeps CI runs byte-stable; deadline off because kernel
 # evaluations are quadrature-heavy and time jitter is not a failure

@@ -26,7 +26,7 @@ from gfkernel.basic import (
 )
 from gfkernel.dist import delta, heaviside, lie_dist, pair, regular
 from gfkernel.errors import DomainMismatch
-from gfkernel.kernel import make_mollifier, standard_sequence
+from gfkernel.kernel import make_mollifier, restrict_seq, standard_sequence
 from gfkernel.smooth import (
     Domain,
     VectorField,
@@ -236,6 +236,23 @@ class TestRestriction:
         out = eval_basic(sub, seq.at(32))
         assert out.jet(1.0, 0) > 1.0          # the mass at 1 is seen
         assert out.jet(0.3, 0) == 0.0         # the mass at -1 is gone
+
+    @pytest.mark.parametrize("kind", ["lietilde", "pushforward", "generic"])
+    def test_restriction_is_invisible_deep_inside(self, kind):
+        # evaluating on the restricted sequence restricts the element
+        # node by node; on (-0.5, 0.5) the restricted kernel is the base
+        R = {"lietilde": lie_tilde(VectorField(polynomial([0.3, 1.0], DOM)),
+                                   iota(delta(0.1, domain=DOM))),
+             "pushforward": pushforward(iota(delta(0.0, domain=DOM)),
+                                        affine_diffeo(2.0, 0.3, DOM)),
+             "generic": as_generic(iota(delta(0.1, domain=DOM)))}[kind]
+        seq = standard_sequence(R.domain, make_mollifier(3))
+        sub = restrict_seq(seq, Domain.interval(-1.0, 1.0))
+        xs = np.linspace(-0.3, 0.45, 31)
+        for k in (16, 32):
+            want = eval_basic(R, seq.at(k)).jet(xs, 0)
+            assert np.any(want != 0.0)
+            np.testing.assert_array_equal(eval_basic(R, sub.at(k)).jet(xs, 0), want)
 
 
 class TestTransport:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gfkernel.dist import delta, regular
-from gfkernel.errors import JetCapExceeded, NoSeparation, NotContained
+from gfkernel.errors import DomainMismatch, JetCapExceeded, NoSeparation, NotContained
 from gfkernel.kernel import (
     ConstantKernel,
+    GluedKernel,
     PullbackKernel,
     TranslationKernel,
     apply_kernel,
@@ -26,10 +27,12 @@ from gfkernel.kernel import (
 from gfkernel.smooth import (
     Domain,
     VectorField,
+    constant,
     constant_field,
     integrate,
     polynomial,
     sin_fn,
+    smoothstep,
 )
 
 DOM = Domain.interval(-2.0, 2.0)
@@ -168,6 +171,47 @@ class TestDerivedKernels:
         want = 0.25 * k3.jets(0.0, 0, ys, 0) + 0.75 * k1.jets(0.0, 0, ys, 0)
         np.testing.assert_allclose(ker.jets(0.0, 0, ys, 0), want,
                                    rtol=0, atol=1e-13)
+
+    def test_constant_weights_combine_linearly(self, q3_seq, q1_seq):
+        # a zero weight drops its piece; the rest is sum_l c_l jets exactly
+        terms = [(0.3, q3_seq.at(16)), (0.0, q3_seq.at(8)), (-1.2, q1_seq.at(16))]
+        glued = GluedKernel([(constant(c, DOM), k) for c, k in terms], DOM)
+        for x in (-1.7, 0.0, 0.45):
+            ys = np.linspace(x - 0.1, x + 0.1, 21)
+            for mx in range(3):
+                for my in range(3):
+                    want = sum(c * k.jets(x, mx, ys, my) for c, k in terms)
+                    assert np.array_equal(glued.jets(x, mx, ys, my), want), (x, mx, my)
+
+    def test_combo_rejects_sequences_on_different_domains(self, q3_seq):
+        other = standard_sequence(Domain.interval(-1.0, 1.0), make_mollifier(3))
+        with pytest.raises(DomainMismatch):
+            combo_seq([(0.5, q3_seq), (0.5, other)])
+
+    def test_locality_probe_kernel_is_the_base_left_of_the_seam(self):
+        # the kernel probe_locality patches together on (-2, 2): ka up to
+        # the seam at 0.6, then a ramp of width 0.4 over to kb
+        ka = standard_sequence(DOM, make_mollifier(3)).at(16)
+        kb = standard_sequence(DOM, make_mollifier(1), mbar=0.7).at(16)
+        ramp = smoothstep(0.6, 1.0)
+        patched = GluedKernel([(constant(1.0) - ramp, ka), (ramp, kb)], DOM)
+        for x in (-1.6, -0.4, 0.55):
+            w = ka.y_window(x)
+            ys = np.linspace(w.lo, w.hi, 33)
+            np.testing.assert_array_equal(patched.jets(x, 2, ys, 2),
+                                          ka.jets(x, 2, ys, 2))
+
+    def test_restriction_to_a_half_line_is_the_base_on_single_tiles(self):
+        # at these x only one unit tile of (0, inf) is active and its
+        # cutoff is 1 on the whole window, so nothing may move
+        base = standard_sequence(Domain.interval(-1.0, math.inf), make_mollifier(3))
+        half = restrict_seq(base, Domain.interval(0.0, math.inf))
+        for k in (8, 16):
+            for x in (1.9, 3.3, 7.7):
+                w = base.at(k).y_window(x)
+                ys = np.linspace(w.lo, w.hi, 33)
+                np.testing.assert_array_equal(half.at(k).jets(x, 2, ys, 2),
+                                              base.at(k).jets(x, 2, ys, 2))
 
     def test_radius_bound_is_the_kernels_own(self, q3_seq, q1_seq):
         V = Domain.interval(-1.0, 1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gfkernel.basic import iota, lie_hat, lie_tilde, sigma
+from gfkernel.basic import affine_diffeo, iota, lie_hat, lie_tilde, pushforward, sigma
 from gfkernel.dist import default_test_battery, delta, heaviside, regular
 from gfkernel.errors import NonFiniteSweep, TooFewPoints
 from gfkernel.kernel import constant_witness_seq, make_mollifier, standard_sequence
@@ -224,3 +224,15 @@ class TestAssociation:
         battery = _battery_at((0.0, 0.7))
         assert associated(R, battery=battery, k_grid=(8, 16)).verdict
         assert not is_negligible(R, k_grid=(8, 16), orders=(0,)).verdict
+
+    def test_pushforward_point_mass_pairs_like_the_moved_mass(self):
+        # A evaluates to the same arrays as a point mass at 0.3; the outer
+        # quadrature must split at 0.3, not at the source point 0.0, or
+        # the spike falls between nodes and A looks associated to zero
+        A = pushforward(iota(delta(0.0, domain=DOM)), affine_diffeo(2.0, 0.3, DOM))
+        B = iota(delta(0.3, domain=A.domain))
+        phi = default_test_battery(A.domain)[5]
+        rep = associated(A, battery=[phi])
+        assert not rep.verdict
+        moved = associated(B, battery=[phi])
+        assert rep.sweeps[0].fit.values == moved.sweeps[0].fit.values
