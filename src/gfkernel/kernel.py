@@ -501,25 +501,11 @@ class PullbackKernel(Kernel):
         ux = self.mu.jets(np.array([x]), mx)[:, 0]
         vy = self.mu.jets(ys, my)
         B = self.base.jets(float(ux[0]), mx, vy[0], my)
-        c = B / (_FACT[: mx + 1, None, None] * _FACT[None, : my + 1, None])
-        # powers of the shifted inner series in each slot
-        uxs = (ux / _FACT[: mx + 1]).reshape(mx + 1, 1)
-        uxs[0] = 0.0
-        vys = vy / _FACT[: my + 1, None]
-        vys[0] = 0.0
-        px = [np.zeros((mx + 1, 1)) for _ in range(mx + 1)]
-        px[0][0, 0] = 1.0
-        for p in range(1, mx + 1):
-            px[p] = _series_mul(px[p - 1], uxs)
-        py = [np.zeros((my + 1, ys.size)) for _ in range(my + 1)]
-        py[0][0] = 1.0
-        for q in range(1, my + 1):
-            py[q] = _series_mul(py[q - 1], vys)
-        D = np.zeros((mx + 1, my + 1, ys.size))
-        for p in range(mx + 1):
-            for q in range(my + 1):
-                D += c[p, q][None, None, :] * px[p][:, :, None] * py[q][None, :, :]
-        return D * _FACT[: mx + 1, None, None] * _FACT[None, : my + 1, None]
+        fx, fy = _FACT[: mx + 1, None, None], _FACT[None, : my + 1, None]
+        # Taylor coefficients of B composed with the inner series, y slot first
+        c = np.moveaxis(B / (fx * fy), 1, 0)
+        c = np.moveaxis(_series_compose(c, (vy / _FACT[: my + 1, None])[:, None, :]), 0, 1)
+        return _series_compose(c, ux[:, None, None] / fx) * fx * fy
 
     def y_window(self, x: float) -> CompactInterval:
         w = self.base.y_window(float(self.mu.jet(x, 0)))
@@ -575,8 +561,7 @@ class KernelSequence:
 
 def standard_sequence(domain: Domain = DEFAULT_DOMAIN,
                       mollifier: Mollifier | None = None, *,
-                      mbar: float = 0.8,
-                      label: str | None = None) -> KernelSequence:
+                      mbar: float = 0.8) -> KernelSequence:
     """The canonical localizing test-object sequence on a domain.
 
     Scaled translates of one mollifier, with the scale profile flattened
@@ -590,9 +575,8 @@ def standard_sequence(domain: Domain = DEFAULT_DOMAIN,
     def maker(k: int) -> Kernel:
         return ScaleKernel(domain, moll, prof, plats, k)
 
-    return KernelSequence(
-        domain, maker, grade=moll.order,
-        label=label or f"standard(q={moll.order})", mollifier=moll)
+    return KernelSequence(domain, maker, grade=moll.order,
+                          label=f"standard(q={moll.order})", mollifier=moll)
 
 
 def lie_seq(X: VectorField, seq: KernelSequence) -> KernelSequence:
@@ -607,8 +591,7 @@ def restrict_seq(seq: KernelSequence, V: Domain) -> KernelSequence:
                           grade=seq.grade, label=f"{seq.label}|{V.intervals}")
 
 
-def glue_seqs(cover, seqs, *, domain: Domain | None = None,
-              label: str = "glued") -> KernelSequence:
+def glue_seqs(cover, seqs, *, domain: Domain | None = None) -> KernelSequence:
     """Glue a compatible family of kernel sequences along an interval cover.
 
     cover: list of (lo, hi) with consecutive overlaps; seqs: one sequence
@@ -623,15 +606,16 @@ def glue_seqs(cover, seqs, *, domain: Domain | None = None,
         if not Domain.interval(lo, hi).is_subset(s.domain):
             raise IncompatiblePieces(
                 f"piece ({lo}, {hi}) is not inside its sequence's domain")
-    order = sorted(range(len(cover)), key=lambda i: cover[i][0])
+    # the partition keys its weights by sorted position
+    order = sorted(range(len(cover)), key=lambda i: tuple(cover[i]))
 
     def maker(k: int) -> Kernel:
-        pieces = [(pou.chi(i), seqs[i].at(k)) for i in order]
+        pieces = [(pou.chi(j), seqs[i].at(k)) for j, i in enumerate(order)]
         return GluedKernel(pieces, dom)
 
     grades = {s.grade for s in seqs}
     grade = grades.pop() if len(grades) == 1 else None
-    return KernelSequence(dom, maker, grade=grade, label=label)
+    return KernelSequence(dom, maker, grade=grade, label="glued")
 
 
 def extend_seq(seq: KernelSequence, U: Domain, *,
@@ -674,7 +658,7 @@ def constant_witness_seq(domain: Domain = DEFAULT_DOMAIN) -> KernelSequence:
                           grade=None, label="constant-witness")
 
 
-def combo_seq(terms, label: str = "combo") -> KernelSequence:
+def combo_seq(terms) -> KernelSequence:
     """Pointwise linear combination of sequences (for kernel directions)."""
     dom = terms[0][1].domain
     if any(s.domain != dom for _, s in terms):
@@ -683,7 +667,7 @@ def combo_seq(terms, label: str = "combo") -> KernelSequence:
     def maker(k: int) -> Kernel:
         return GluedKernel([(constant(c, dom), s.at(k)) for c, s in terms], dom)
 
-    return KernelSequence(dom, maker, label=label)
+    return KernelSequence(dom, maker, label="combo")
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,8 @@ class SmoothFn:
 
     def jets(self, x, m: int) -> np.ndarray:
         """All derivatives 0..m at once, shape (m+1,) + x.shape."""
+        if m < 0:
+            raise ValueError("derivative order must be >= 0")
         if m > self.jet_cap:
             raise JetCapExceeded(f"order {m} exceeds jet cap {self.jet_cap}")
         arr = np.asarray(x, dtype=float)
@@ -828,24 +830,87 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
 # partitions of unity
 
 
-@dataclass(frozen=True)
 class PartitionOfUnity:
-    """Finitely many smooth chi_i >= 0 with sum 1 on ``covered``, supp chi_i in piece i."""
+    """Smooth chi_key >= 0 summing to 1 on ``domain``, supp chi_key in piece key.
 
-    pieces: tuple[tuple[float, float], ...]
-    chis: tuple[SmoothFn, ...]
-    covered: tuple[float, float]
+    Subclasses give the geometry: ``piece(key)``, ``_overlaps(key)`` (the
+    (left, right) widths shared with the neighbors, None on a side with no
+    neighbor, where the bump stays flat) and ``active_keys(x)``, the
+    pieces containing x.  Bumps rise and fall strictly inside the overlaps
+    and are exactly 0 outside their piece, so chi_key is bump_key over the
+    sum of the active bumps.
+    """
 
-    def chi(self, key: int) -> SmoothFn:
-        return self.chis[key]
+    def __init__(self, domain: Domain):
+        self.domain = domain
+        self._bumps: dict = {}
+        self._chis: dict = {}
+
+    def bump(self, key) -> SmoothFn:
+        if key not in self._bumps:
+            a, b = self.piece(key)
+            ol, orr = self._overlaps(key)
+            factors = []
+            if ol is not None:
+                factors.append(smoothstep(a + 0.25 * ol, a + 0.75 * ol))
+            if orr is not None:
+                factors.append(constant(1.0) - smoothstep(b - 0.75 * orr, b - 0.25 * orr))
+            g = constant(1.0)  # the one piece of a one-piece cover
+            if factors:
+                g = factors[0] if len(factors) == 1 else _product(*factors)
+                supp = CompactInterval(a if ol is None else a + 0.25 * ol,
+                                       b if orr is None else b - 0.25 * orr)
+                g = SmoothFn(g.domain, g._jet_all, jet_cap=g.jet_cap, support=supp)
+            self._bumps[key] = g
+        return self._bumps[key]
+
+    def chi(self, key) -> SmoothFn:
+        """The normalized partition function for a piece, smooth on the domain."""
+        if key not in self._chis:
+
+            def jet_all(x, m):
+                out = np.zeros((m + 1, x.size))
+                for i in range(x.size):
+                    keys = self.active_keys(float(x[i]))
+                    if key not in keys:
+                        continue
+                    xi = x[i:i + 1]
+                    total = sum(self.bump(kk)._masked_all(xi, m) for kk in keys)
+                    out[:, i:i + 1] = _jet_div(self.bump(key)._masked_all(xi, m), total)
+                return out
+
+            g = self.bump(key)
+            self._chis[key] = SmoothFn(self.domain, jet_all, support=g.support,
+                                       jet_cap=g.jet_cap)
+        return self._chis[key]
+
+
+class _CoverPartition(PartitionOfUnity):
+    """The partition of a finite staggered cover; keys are sorted positions."""
+
+    def __init__(self, pieces: tuple[tuple[float, float], ...]):
+        super().__init__(Domain.interval(pieces[0][0], pieces[-1][1]))
+        self.pieces = pieces
+
+    def piece(self, key: int) -> tuple[float, float]:
+        return self.pieces[key]
+
+    def _overlaps(self, key: int) -> tuple[float | None, float | None]:
+        a, b = self.pieces[key]
+        ol = self.pieces[key - 1][1] - a if key > 0 else None
+        orr = b - self.pieces[key + 1][0] if key + 1 < len(self.pieces) else None
+        return (ol, orr)
+
+    def active_keys(self, x: float) -> list:
+        return [i for i, (a, b) in enumerate(self.pieces) if a < x < b]
 
 
 def partition_of_unity(cover: Sequence[tuple[float, float]]) -> PartitionOfUnity:
     """A partition of unity subordinate to a finite interval cover.
 
     Pieces must be staggered: sorted, overlapping consecutively, none
-    swallowed by its neighbors.  Bumps rise and fall strictly inside the
-    overlaps; pieces touching the boundary of the union stay flat there, so
+    swallowed by its neighbors.  Keys are the positions of the sorted
+    pieces.  Pieces touching the boundary of the union stay flat there, so
     the sum is exactly representable and normalization never divides by
     anything small.
     """
@@ -855,56 +920,16 @@ def partition_of_unity(cover: Sequence[tuple[float, float]]) -> PartitionOfUnity
     for (a, b) in pieces:
         if not a < b:
             raise GapInCover(f"degenerate cover piece ({a}, {b})")
-    los = [p[0] for p in pieces]
-    his = [p[1] for p in pieces]
-    if los != sorted(los) or his != sorted(his):
+    his = [p[1] for p in pieces]  # the lower ends are sorted already
+    if his != sorted(his):
         raise GapInCover("cover pieces must be staggered, none contained in another")
     for (a0, b0), (a1, b1) in zip(pieces[:-1], pieces[1:]):
         if not a1 < b0:
             raise GapInCover(f"pieces ({a0}, {b0}) and ({a1}, {b1}) do not overlap")
-    c0, c1 = pieces[0][0], pieces[-1][1]
-    bumps = []
-    for i, (a, b) in enumerate(pieces):
-        ol = pieces[i - 1][1] - a if i > 0 else None
-        orr = b - pieces[i + 1][0] if i + 1 < len(pieces) else None
-        factors = []
-        if ol is not None:
-            factors.append(smoothstep(a + 0.25 * ol, a + 0.75 * ol))
-        if orr is not None:
-            down = smoothstep(b - 0.75 * orr, b - 0.25 * orr)
-            factors.append(constant(1.0) - down)
-        if not factors:
-            g = constant(1.0)
-        else:
-            g = factors[0]
-            for fct in factors[1:]:
-                g = _product(g, fct)
-        slo = a + 0.25 * ol if ol is not None else None
-        shi = b - 0.25 * orr if orr is not None else None
-        if slo is not None or shi is not None:
-            supp = CompactInterval(slo if slo is not None else min(c0, a),
-                                   shi if shi is not None else max(c1, b))
-            g = SmoothFn(g.domain, g._jet_all, support=supp, jet_cap=g.jet_cap)
-        bumps.append(g)
-    dom = Domain.interval(c0, c1)
-    total = lin_comb(bumps, [1.0] * len(bumps))
-    chis = []
-    for g in bumps:
-        chis.append(_normalized(g, total, dom))
-    return PartitionOfUnity(tuple(pieces), tuple(chis), (c0, c1))
+    return _CoverPartition(tuple(pieces))
 
 
-def _normalized(g: SmoothFn, total: SmoothFn, dom: Domain) -> SmoothFn:
-    """g / total on dom, where total >= some c > 0; jets by series division."""
-    cap = min(g.jet_cap, total.jet_cap)
-
-    def jet_all(x, m):
-        return _jet_div(g._masked_all(x, m), total._masked_all(x, m))
-
-    return SmoothFn(dom, jet_all, support=g.support, jet_cap=cap)
-
-
-class DyadicPartition:
+class DyadicPartition(PartitionOfUnity):
     """A lazy, locally finite partition of unity on an open interval.
 
     Pieces are relatively compact in the domain: a central core, dyadic
@@ -920,10 +945,8 @@ class DyadicPartition:
     def __init__(self, domain: Domain):
         if len(domain.intervals) != 1:
             raise DomainMismatch("dyadic partitions want a single interval")
-        self.domain = domain
+        super().__init__(domain)
         self.lo, self.hi = domain.intervals[0]
-        self._bumps: dict = {}
-        self._chis: dict = {}
         self._cutoffs: dict = {}
         if math.isfinite(self.lo) and math.isfinite(self.hi):
             self.D = (self.hi - self.lo) / self.RING_BASE
@@ -997,7 +1020,6 @@ class DyadicPartition:
 
     def _overlaps(self, key) -> tuple[float, float]:
         """(left, right) overlap widths of a piece with its neighbors."""
-        a, b = self.piece(key)
         kind = key[0]
         if kind == "core":
             return (self.D / 2.0, self.D / 2.0)
@@ -1010,46 +1032,6 @@ class DyadicPartition:
         return (0.25, 0.25)
 
     # -- smooth data -------------------------------------------------------
-
-    def bump(self, key) -> SmoothFn:
-        if key not in self._bumps:
-            a, b = self.piece(key)
-            ol, orr = self._overlaps(key)
-            up = smoothstep(a + 0.25 * ol, a + 0.75 * ol)
-            down = constant(1.0) - smoothstep(b - 0.75 * orr, b - 0.25 * orr)
-            g = _product(up, down)
-            g = SmoothFn(g.domain, g._jet_all, jet_cap=g.jet_cap,
-                         support=CompactInterval(a + 0.25 * ol, b - 0.25 * orr))
-            self._bumps[key] = g
-        return self._bumps[key]
-
-    def chi(self, key) -> SmoothFn:
-        """The normalized partition function for a piece, smooth on the domain."""
-        if key not in self._chis:
-            part = self
-
-            def jet_all(x, m, _key=key):
-                out = np.zeros((m + 1, x.size))
-                # group points by their active key superset
-                keysets: dict[tuple, list[int]] = {}
-                for i, xi in enumerate(x):
-                    ks = tuple(part.active_keys(float(xi)))
-                    keysets.setdefault(ks, []).append(i)
-                for ks, idxs in keysets.items():
-                    if _key not in ks:
-                        continue
-                    xi = x[np.asarray(idxs)]
-                    G = part.bump(_key)._masked_all(xi, m)
-                    T = np.zeros_like(G)
-                    for kk in ks:
-                        T += part.bump(kk)._masked_all(xi, m)
-                    out[:, np.asarray(idxs)] = _jet_div(G, T)
-                return out
-
-            g = self.bump(key)
-            self._chis[key] = SmoothFn(self.domain, jet_all, support=g.support,
-                                       jet_cap=g.jet_cap)
-        return self._chis[key]
 
     def cutoff(self, key) -> SmoothFn:
         """Plateau equal to 1 on a neighborhood of the piece, supported in the domain."""

@@ -190,8 +190,9 @@ def _singular_points(R: BasicElement) -> tuple[float, ...]:
 
 def _pairing(fn: SmoothFn, phi: TestFn, hints=()) -> float:
     lo, hi = phi.support.lo, phi.support.hi
-    cuts = [b for b in phi.fn.breaks if lo < b < hi]
-    cuts += [h for h in hints if lo < h < hi]
+    # fn's own support edges too: inside a GenericElement no hint sees its spikes
+    edges = () if fn.support is None else (fn.support.lo, fn.support.hi)
+    cuts = [b for b in (*phi.fn.breaks, *hints, *edges) if lo < b < hi]
     res = integrate(lambda x: fn.jet(x, 0) * phi.jet(x, 0), (lo, hi),
                     rel_tol=1e-10, abs_tol=1e-13, points=tuple(sorted(cuts)))
     return res.value

@@ -146,6 +146,22 @@ class TestDerivedKernels:
         assert eq.all_eventual
         assert all(k0 <= 64 for k0 in eq.per_probe.values())
 
+    def test_glue_order_of_the_cover_does_not_matter(self, q3_seq, q1_seq):
+        # each sequence must keep the weight of its own piece however the
+        # cover is listed
+        cover = [(-2.0, -0.4), (-1.1, 1.1), (0.4, 2.0)]
+        seqs = [restrict_seq(s, Domain.interval(*c))
+                for s, c in zip((q3_seq, q1_seq, q3_seq), cover)]
+        perm = (2, 0, 1)
+        ref = glue_seqs(cover, seqs, domain=DOM)
+        glued = glue_seqs([cover[i] for i in perm], [seqs[i] for i in perm], domain=DOM)
+        for k in (8, 16):
+            for x in (-1.5, -0.75, 0.0, 0.7, 1.5):
+                w = ref.at(k).y_window(x)
+                ys = np.linspace(w.lo, w.hi, 33)
+                assert np.array_equal(glued.at(k).jets(x, 2, ys, 2),
+                                      ref.at(k).jets(x, 2, ys, 2)), (k, x)
+
     def test_extension_is_identical_on_core(self, q3_seq):
         V = Domain.interval(-1.0, 1.0)
         sub = restrict_seq(q3_seq, V)
@@ -264,6 +280,12 @@ MIXED_CASES = {
          restrict_seq(s1, Domain.interval(-1.1, 1.1))], domain=DOM).at(16), -0.75),
     "translation": (lambda s3, s1: TranslationKernel(
         make_mollifier(2).fn, 8.0, DOM), 0.3),
+    # mu = x + 0.1 x^3 is curved, so mu'' enters both slots; mu_inv only
+    # brackets the y-window
+    "pullback-curved": (lambda s3, s1: PullbackKernel(
+        standard_sequence(Domain.interval(-3.0, 3.0), make_mollifier(3)).at(16),
+        polynomial([0.0, 1.0, 0.0, 0.1], DOM),
+        polynomial([0.0, 1.0, 0.0, -0.1], Domain.interval(-3.0, 3.0)), DOM), 0.7),
 }
 
 

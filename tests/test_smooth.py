@@ -11,6 +11,7 @@ from gfkernel.errors import DomainMismatch, OutOfDomain
 from gfkernel.smooth import (
     CompactInterval,
     Domain,
+    DyadicPartition,
     bump,
     constant,
     constant_field,
@@ -90,6 +91,16 @@ class TestJets:
         np.testing.assert_allclose(g.jet(xs, 0), np.cos(xs), rtol=0, atol=1e-14)
         np.testing.assert_allclose(g.jet(xs, 1), -np.sin(xs), rtol=0, atol=1e-14)
 
+    def test_negative_order_is_rejected(self):
+        # jet already refuses m < 0; jets and seminorm must too, not fail
+        # on an empty array or return one
+        with pytest.raises(ValueError):
+            constant(1.0).jets(0.3, -1)
+        with pytest.raises(ValueError):
+            sin_fn().jets(np.array([0.3, 0.4]), -1)
+        with pytest.raises(ValueError):
+            seminorm(sin_fn(), CompactInterval(-1.0, 1.0), -1)
+
     @given(st.floats(-1.5, 1.5), st.integers(0, 4))
     def test_composition_jets_match_closed_form(self, x, m):
         # sin(e^x) has analytic derivatives we can cross-check by FD on
@@ -146,6 +157,20 @@ class TestCutoffs:
             chi = pou.chi(i)
             np.testing.assert_array_equal(
                 chi.jet(np.array(outside[i]), 0), [0.0, 0.0])
+
+    @pytest.mark.parametrize("lo, hi, x", [
+        (-1.0, 1.0, -0.905), (-1.0, 1.0, -0.95), (-1.0, 1.0, 0.6),
+        (0.0, math.inf, 0.2), (0.0, math.inf, 0.7), (0.0, math.inf, 1.4),
+        (-math.inf, math.inf, 0.3)])
+    def test_dyadic_partition_sums_to_one(self, lo, hi, x):
+        # at core/ring, ring/ring, ring/tile and tile/tile overlaps the
+        # active weights sum to 1 and their derivatives to 0
+        part = DyadicPartition(Domain.interval(lo, hi))
+        J = np.array([part.chi(key).jets(x, 2) for key in part.active_keys(x)])
+        assert len(J) >= 2
+        assert abs(J[:, 0].sum() - 1.0) < 1e-12
+        for j in (1, 2):
+            assert abs(J[:, j].sum()) <= 1e-12 * np.max(np.abs(J[:, j])), j
 
 
 class TestRestriction:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gfkernel.basic import affine_diffeo, iota, lie_hat, lie_tilde, pushforward, sigma
+from gfkernel.basic import (
+    affine_diffeo, as_generic, iota, lie_hat, lie_tilde, pushforward, sigma)
 from gfkernel.dist import default_test_battery, delta, heaviside, regular
 from gfkernel.errors import NonFiniteSweep, TooFewPoints
 from gfkernel.kernel import constant_witness_seq, make_mollifier, standard_sequence
@@ -236,3 +237,13 @@ class TestAssociation:
         assert not rep.verdict
         moved = associated(B, battery=[phi])
         assert rep.sweeps[0].fit.values == moved.sweeps[0].fit.values
+
+    def test_generic_point_mass_pairs_like_the_point_mass(self):
+        # no hint reaches inside a GenericElement; the outer quadrature
+        # must still split at the evaluated spike's support edges
+        phi = default_test_battery(DOM)[5]
+        ks = (32, 64, 128)
+        rep = associated(as_generic(iota(delta(0.3))), battery=[phi], k_grid=ks)
+        plain = associated(iota(delta(0.3)), battery=[phi], k_grid=ks)
+        assert not rep.verdict
+        assert rep.sweeps[0].fit.values == plain.sweeps[0].fit.values
