@@ -24,6 +24,7 @@ import numpy as np
 from .dist import Distribution, restrict_dist
 from .errors import DomainMismatch, NotContained, WrongTag
 from .kernel import (
+    _per_x,
     ConstantKernel,
     GluedKernel,
     Kernel,
@@ -558,6 +559,7 @@ class _XReparamKernel(Kernel):
     def _warp(self, x: float) -> float:
         return self.center + self.slope * (x - self.center)
 
+    @_per_x
     def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
         B = self.base.jets(self._warp(x), mx, ys, my)
         scale = self.slope ** np.arange(mx + 1)

@@ -33,6 +33,7 @@ from .smooth import (
     _series_compose,
     _series_div,
     _series_mul,
+    _cuts,
     CompactInterval,
     Domain,
     DyadicPartition,
@@ -42,6 +43,7 @@ from .smooth import (
     bump,
     constant,
     integrate,
+    integrate_rows,
     partition_of_unity,
     plateau,
     polynomial,
@@ -138,8 +140,14 @@ class Kernel:
     domain: Domain
     jet_cap: int = 8
 
-    def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        """Mixed derivatives d_x^i d_y^j phi(x, y_n), shape (mx+1, my+1, n)."""
+    def jets(self, x, mx: int, ys, my: int) -> np.ndarray:
+        """Mixed derivatives d_x^i d_y^j phi(x, y_n), shape (mx+1, my+1, n).
+
+        x may also be a 1-D array of nx points, with ``ys`` of shape
+        (nx, n) whose row r pairs with x[r]; the result then has shape
+        (mx+1, my+1, nx, n), and its [:, :, r] slice is bit for bit the
+        scalar call at (x[r], ys[r]).
+        """
         raise NotImplementedError
 
     def y_window(self, x: float) -> CompactInterval:
@@ -159,11 +167,30 @@ class Kernel:
         return None
 
 
-def _as_ys(ys) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError("ys must be one dimensional")
-    return arr
+def _rows(x, ys) -> tuple[np.ndarray, np.ndarray, bool]:
+    """x as a 1-D array, ys as one row per x, and whether x was a scalar."""
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    Y = np.asarray(ys, dtype=float)
+    Y = np.atleast_1d(Y)[None] if scalar else Y
+    if xs.ndim != 1 or Y.ndim != 2 or Y.shape[0] != xs.size:
+        raise ValueError("ys must hold one row of points per x")
+    return xs, Y, scalar
+
+
+def _per_x(jets):
+    """Give a scalar-x ``jets`` body the array-x contract, one x at a time."""
+
+    def lifted(self, x, mx: int, ys, my: int) -> np.ndarray:
+        xs, Y, scalar = _rows(x, ys)
+        if scalar:
+            return jets(self, x, mx, Y[0], my)
+        out = np.empty((mx + 1, my + 1) + Y.shape)
+        for r in range(xs.size):
+            out[:, :, r] = jets(self, float(xs[r]), mx, Y[r], my)
+        return out
+
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +275,39 @@ class ScaleKernel(Kernel):
     def mollifier(self) -> Mollifier:
         return self.moll
 
-    def _scale_series(self, x: float, mx: int) -> np.ndarray:
-        mj = self.profile.jets(np.array([x]), mx)[:, 0]
-        if not mj[0] > 1e-12:
+    def _scale_series(self, xs: np.ndarray, mx: int) -> np.ndarray:
+        """h-series of s(x+h) at each x, shape (mx+1, nx)."""
+        mj = self.profile.jets(xs, mx)
+        bad = ~(mj[0] > 1e-12)
+        if bad.any():
             raise OutOfDomain(
-                f"x={x} is too close to the boundary for this kernel's scale")
-        mc = (mj / _FACT[: mx + 1]).reshape(mx + 1, 1)
-        kr = np.zeros((mx + 1, 1))
-        kr[0, 0] = self.k * self.moll.radius
+                f"x={xs[bad][0]} is too close to the boundary for this kernel's scale")
+        mc = mj / _FACT[: mx + 1, None]
+        kr = np.zeros_like(mc)
+        kr[0] = self.k * self.moll.radius
         return _series_div(kr, mc)
 
-    def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
+    def jets(self, x, mx: int, ys, my: int) -> np.ndarray:
+        xs, Y, scalar = _rows(x, ys)
         rho = self.moll.fn
-        sc = self._scale_series(x, mx)
-        yrel = ys - x
-        # u(h; y) = s(x+h) (y - x - h) as an h-series per y point
-        u = np.zeros((mx + 1, ys.size))
+        sc = self._scale_series(xs, mx)[:, :, None]
+        yrel = Y - xs[:, None]
+        # u(h; y) = s(x+h) (y - x - h) as an h-series per (x, y) pair
+        u = np.zeros((mx + 1,) + Y.shape)
         for i in range(mx + 1):
-            u[i] = sc[i, 0] * yrel
+            u[i] = sc[i] * yrel
             if i >= 1:
-                u[i] -= sc[i - 1, 0]
-        spow = sc.copy()
-        out = np.empty((mx + 1, my + 1, ys.size))
+                u[i] -= sc[i - 1]
+        fact = _FACT[: mx + 1, None, None]
+        spow = sc
+        out = np.empty((mx + 1, my + 1) + Y.shape)
         for j in range(my + 1):
             rj = rho.jets(u[0], mx + j)
-            fc = rj[j: j + mx + 1] / _FACT[: mx + 1, None]
-            comp = _series_compose(fc, u)
-            col = _series_mul(comp, np.broadcast_to(spow, (mx + 1, ys.size)))
-            out[:, j, :] = col * _FACT[: mx + 1, None]
+            comp = _series_compose(rj[j: j + mx + 1] / fact, u)
+            col = _series_mul(comp, np.broadcast_to(spow, comp.shape))
+            out[:, j] = col * fact
             spow = _series_mul(spow, sc)
-        return out
+        return out[:, :, 0] if scalar else out
 
     def y_window(self, x: float) -> CompactInterval:
         m0 = float(self.profile.jet(x, 0))
@@ -309,9 +338,10 @@ class TranslationKernel(Kernel):
         self.domain = domain
         self.jet_cap = rho.jet_cap
 
+    @_per_x
     def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
         k = self.k
-        R = self.rho.jets(k * (x - _as_ys(ys)), mx + my)
+        R = self.rho.jets(k * (x - ys), mx + my)
         out = np.empty((mx + 1, my + 1) + R.shape[1:])
         for i in range(mx + 1):
             for j in range(my + 1):
@@ -338,15 +368,16 @@ class LieKernel(Kernel):
         self.domain = base.domain
         self.jet_cap = max(base.jet_cap - 2, 0)
 
-    def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
-        B = self.base.jets(x, mx + 1, ys, my + 1)
-        Xx = self.X.coef.jets(np.array([x]), mx)[:, 0]
-        Xy = self.X.coef.jets(ys, my + 1)
-        moved = _leibniz(Xx[:, None, None], B[1:, : my + 1])
+    def jets(self, x, mx: int, ys, my: int) -> np.ndarray:
+        xs, Y, scalar = _rows(x, ys)
+        B = self.base.jets(xs, mx + 1, Y, my + 1)
+        Xx = self.X.coef.jets(xs, mx)
+        Xy = self.X.coef.jets(Y, my + 1)
+        moved = _leibniz(Xx[:, None, :, None], B[1:, : my + 1])
         # d_y^(j+1) of X(y) phi, with the y axis in front for the product
         carried = _leibniz(Xy, np.moveaxis(B[: mx + 1], 1, 0))[1:]
-        return moved + np.moveaxis(carried, 0, 1)
+        out = moved + np.moveaxis(carried, 0, 1)
+        return out[:, :, 0] if scalar else out
 
     def y_window(self, x: float) -> CompactInterval:
         return self.base.y_window(x)
@@ -379,8 +410,8 @@ class RestrictedKernel(Kernel):
             self._parts[comp] = DyadicPartition(Domain.interval(*comp))
         return self._parts[comp]
 
+    @_per_x
     def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
         part = self._partition(x)
         B = self.base.jets(x, mx, ys, my)
         out = np.zeros((mx + 1, my + 1, ys.size))
@@ -422,8 +453,8 @@ class GluedKernel(Kernel):
         self.domain = domain
         self.jet_cap = min(k.jet_cap for _, k in self.pieces)
 
+    @_per_x
     def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
         out = np.zeros((mx + 1, my + 1, ys.size))
         xa = np.array([x])
         for w, ker in self.pieces:
@@ -471,8 +502,8 @@ class ConstantKernel(Kernel):
         self.domain = domain
         self.jet_cap = tf.fn.jet_cap
 
+    @_per_x
     def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
         out = np.zeros((mx + 1, my + 1, ys.size))
         out[0] = self.tf.fn.jets(ys, my)
         return out
@@ -496,8 +527,8 @@ class PullbackKernel(Kernel):
         self.domain = domain
         self.jet_cap = max(base.jet_cap - 1, 0)
 
+    @_per_x
     def jets(self, x: float, mx: int, ys, my: int) -> np.ndarray:
-        ys = _as_ys(ys)
         ux = self.mu.jets(np.array([x]), mx)[:, 0]
         vy = self.mu.jets(ys, my)
         B = self.base.jets(float(ux[0]), mx, vy[0], my)
@@ -678,29 +709,47 @@ APPLY_REL_TOL = 1e-10
 APPLY_ABS_TOL = 1e-13
 
 
-class _RowCache:
-    """Kernel jet rows at one x, shared across the per-order quadratures.
+PAIR_BLOCK = 64  # x per density batch: caps the panels held at once
 
-    The adaptive passes for different derivative orders visit mostly the
-    same panels; one ``jets`` call per distinct node batch serves all of
-    them.
-    """
 
-    def __init__(self, ker, x: float, m: int):
-        self.ker, self.x, self.m = ker, x, m
-        self._seen: dict = {}
+def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
+    """<t.fn, d_x^i phi(x, .)> for each x, density term t and order i <= m,
+    shape (x.size, len(dens), m+1), one :func:`integrate_rows` row each."""
+    cuts = []
+    for xi in x:
+        w = ker.y_window(float(xi))
+        for t in dens:
+            lo, hi = w.lo, w.hi
+            if t.fn.support is not None:
+                lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
+            cuts += [_cuts(lo, hi, t.fn.breaks) if lo < hi else []] * (m + 1)
+    # kernel rows (all orders) by (x index, first node, last node): every
+    # order and density at x that visits a panel shares one evaluation
+    seen: dict = {}
 
-    def __call__(self, ys: np.ndarray) -> np.ndarray:
-        key = (float(ys[0]), float(ys[-1]), ys.size)
-        hit = self._seen.get(key)
-        if hit is None:
-            hit = self.ker.jets(self.x, self.m, ys, 0)[:, 0, :]
-            self._seen[key] = hit
-        return hit
+    def f(rows, ys):
+        ix, it = np.divmod(rows // (m + 1), len(dens))
+        keys = list(zip(ix.tolist(), ys[:, 0].tolist(), ys[:, -1].tolist()))
+        new = {key: p for p, key in enumerate(keys) if key not in seen}
+        if new:
+            p = np.fromiter(new.values(), int, len(new))
+            J = ker.jets(x[ix[p]], m, ys[p], 0)[:, 0]
+            seen.update(zip(new, np.moveaxis(J, 1, 0)))
+        g = np.empty_like(ys)
+        for j, t in enumerate(dens):
+            g[it == j] = t.fn.jet(ys[it == j], 0)
+        return g * np.stack([seen[key][i] for key, i in zip(keys, (rows % (m + 1)).tolist())])
+
+    vals = integrate_rows(f, cuts, rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL)
+    return vals.reshape(x.size, len(dens), m + 1)
 
 
 def apply_kernel(ker: Kernel, u) -> SmoothFn:
-    """The smooth function x -> <u, phi(x, .)> with exact delta jets."""
+    """The smooth function x -> <u, phi(x, .)> with exact delta jets.
+
+    All x are paired at once: point masses in one ``jets`` call, densities
+    through :func:`integrate_rows`, one row per (x, density, order).
+    """
     from .dist import Distribution, support_dist
 
     if not isinstance(u, Distribution):
@@ -714,29 +763,15 @@ def apply_kernel(ker: Kernel, u) -> SmoothFn:
 
     def jet_all(x, m):
         out = np.zeros((m + 1, x.size))
-        for idx, xi in enumerate(x):
-            if u.deltas:
-                J = ker.jets(float(xi), m, dpts, dmax)
-                for t in u.deltas:
-                    col = int(np.searchsorted(dpts, t.point))
-                    out[:, idx] += t.coeff * (-1.0) ** t.order * J[:, t.order, col]
-            if u.densities:
-                w = ker.y_window(float(xi))
-                rows = _RowCache(ker, float(xi), m)
-                for t in u.densities:
-                    lo, hi = w.lo, w.hi
-                    g = t.fn
-                    if g.support is not None:
-                        lo, hi = max(lo, g.support.lo), min(hi, g.support.hi)
-                        if lo >= hi:
-                            continue
-                    cuts = tuple(b for b in g.breaks if lo < b < hi)
-                    for i in range(m + 1):
-                        def f(ys, i=i):
-                            return g.jet(ys, 0) * rows(ys)[i]
-                        res = integrate(f, (lo, hi), rel_tol=APPLY_REL_TOL,
-                                        abs_tol=APPLY_ABS_TOL, points=cuts)
-                        out[i, idx] += t.coeff * res.value
+        if u.deltas:
+            J = ker.jets(x, m, np.broadcast_to(dpts, (x.size, dpts.size)), dmax)
+            for t in u.deltas:
+                col = int(np.searchsorted(dpts, t.point))
+                out += t.coeff * (-1.0) ** t.order * J[:, t.order, :, col]
+        for s in range(0, x.size if u.densities else 0, PAIR_BLOCK):
+            vals = _pair_densities(ker, u.densities, x[s: s + PAIR_BLOCK], m)
+            for j, t in enumerate(u.densities):
+                out[:, s: s + PAIR_BLOCK] += t.coeff * vals[:, j].T
         return out
 
     supp = None

@@ -772,19 +772,37 @@ class QuadResult(NamedTuple):
     error: float
 
 
+def _gk_sums(h, ys: np.ndarray):
+    """Kronrod value, |Kronrod - Gauss| error and |f| mass of panels from
+    their half-widths and the integrand at their 15 nodes (last axis).
+    ``vecdot`` takes the 1-D dot ``w @ y`` per panel; a matrix product
+    would round differently."""
+    ik = h * np.vecdot(ys, _GK_WK)
+    ig = h * np.vecdot(ys[..., 1::2], _GK_WG)
+    return ik, abs(ik - ig), h * np.vecdot(np.abs(ys), _GK_WK)
+
+
 def _gk_panel(fn, lo: float, hi: float) -> tuple[float, float, float]:
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    xs = c + h * _GK_NODES
-    ys = np.asarray(fn(xs), dtype=float)
-    ik = h * float(_GK_WK @ ys)
-    ig = h * float(_GK_WG @ ys[1::2])
-    mass = h * float(_GK_WK @ np.abs(ys))
-    return ik, abs(ik - ig), mass
+    sums = _gk_sums(h, np.asarray(fn(c + h * _GK_NODES), dtype=float))
+    return tuple(float(v) for v in sums)
 
 
 _QUAD_NOISE = 1e-14  # relative to the integral of |f|
 MAX_PANELS = 4096
+
+
+def _cuts(lo: float, hi: float, points: Iterable[float]) -> list[float]:
+    """Initial panel boundaries: the interval's ends and its interior points."""
+    return sorted({lo, hi, *(p for p in points if lo < p < hi)})
+
+
+def _accepts(total, toterr, mass, rel_tol: float, abs_tol: float):
+    """Acceptance of summed panels, elementwise.  The floor term is the
+    node sums' cancellation noise, which no refinement gets below."""
+    return toterr <= np.fmax(np.fmax(abs_tol, rel_tol * abs(total)),
+                             _QUAD_NOISE * mass)
 
 
 def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
@@ -804,17 +822,14 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         return QuadResult(0.0, 0.0)
-    cuts = sorted({lo, hi, *(p for p in points if lo < p < hi)})
+    cuts = _cuts(lo, hi, points)
     panels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         panels.append((a, b) + _gk_panel(fn, a, b))
     while True:
         total = sum(p[2] for p in panels)
         toterr = sum(p[3] for p in panels)
-        # the floor term is the cancellation noise of the node sums; no
-        # amount of refinement pushes the estimate below it
-        floor = _QUAD_NOISE * sum(p[4] for p in panels)
-        if toterr <= max(abs_tol, rel_tol * abs(total), floor):
+        if _accepts(total, toterr, sum(p[4] for p in panels), rel_tol, abs_tol):
             return QuadResult(total, toterr)
         if len(panels) >= MAX_PANELS:
             raise NoConvergence(
@@ -824,6 +839,54 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
         mid = 0.5 * (a + b)
         panels.append((a, mid) + _gk_panel(fn, a, mid))
         panels.append((mid, b) + _gk_panel(fn, mid, b))
+
+
+def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> np.ndarray:
+    """:func:`integrate` on many rows at once, one integral per row.
+
+    ``cuts[r]``: row r's initial panel boundaries (``_cuts``; empty for a
+    zero row).  ``fn(rows, ys)``: the integrands at nodes ``ys`` (P, 15),
+    node row p in row ``rows[p]``, called once per round for the new
+    panels of every unsettled row.  Each row refines and sums exactly as
+    ``integrate`` does, so its value is the same float; the first row to
+    exhaust the budget raises :class:`NoConvergence`.
+    """
+    value = np.zeros(len(cuts))
+    nrow = np.repeat(np.arange(len(cuts)), [max(len(c) - 1, 0) for c in cuts])
+    nab = np.array([p for c in cuts for p in zip(c[:-1], c[1:])]).reshape(-1, 2)
+    # panels (lo, hi, value, error, mass) of unsettled rows, grouped by
+    # row, each row's panels in the order integrate's list holds them
+    prow, pan = nrow[:0], np.empty((0, 5))
+    while nrow.size:
+        c, h = 0.5 * (nab[:, 0] + nab[:, 1]), 0.5 * (nab[:, 1] - nab[:, 0])
+        sums = _gk_sums(h, fn(nrow, c[:, None] + h[:, None] * _GK_NODES))
+        order = np.argsort(np.concatenate([prow, nrow]), kind="stable")
+        prow = np.concatenate([prow, nrow])[order]
+        pan = np.concatenate([pan, np.column_stack((nab,) + sums)])[order]
+        start = np.flatnonzero(np.r_[True, prow[1:] != prow[:-1]])
+        count = np.diff(np.r_[start, prow.size])
+        group = np.repeat(np.arange(start.size), count)
+        # left to right like integrate's sum() (CPython <= 3.11); np.sum is pairwise
+        pad = np.zeros((count.max() + 1, start.size, 3))
+        pad[np.arange(prow.size) - start[group] + 1, group] = pan[:, 2:]
+        total, toterr, mass = np.add.accumulate(pad, axis=0)[-1].T
+        done = _accepts(total, toterr, mass, rel_tol, abs_tol)
+        value[prow[start[done]]] = total[done]
+        spent = ~done & (count >= MAX_PANELS)
+        if spent.any():
+            i = int(np.argmax(spent))
+            raise NoConvergence(f"quadrature budget ({MAX_PANELS} panels) exhausted",
+                                float(total[i]), float(toterr[i]))
+        # worst panel of each unsettled row: largest error, then leftmost
+        by = np.lexsort((pan[:, 0], -pan[:, 3], prow))
+        worst = by[np.r_[True, prow[by][1:] != prow[by][:-1]]][~done]
+        keep = ~done[group]
+        keep[worst] = False
+        a, b = pan[worst, 0], pan[worst, 1]
+        nrow = np.repeat(prow[worst], 2)
+        nab = np.column_stack([a, 0.5 * (a + b), 0.5 * (a + b), b]).reshape(-1, 2)
+        prow, pan = prow[keep], pan[keep]
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfkernel.dist import delta, regular
-from gfkernel.errors import DomainMismatch, JetCapExceeded, NoSeparation, NotContained
+from gfkernel import smooth
+from gfkernel.dist import delta, heaviside, regular
+from gfkernel.errors import (
+    DomainMismatch,
+    JetCapExceeded,
+    NoConvergence,
+    NoSeparation,
+    NotContained,
+)
 from gfkernel.kernel import (
+    APPLY_ABS_TOL,
+    APPLY_REL_TOL,
+    DEFAULT_K_GRID,
     ConstantKernel,
     GluedKernel,
     PullbackKernel,
@@ -339,3 +351,125 @@ class TestApplication:
         eq = eventually_equal(q3_seq, q3_seq, [0.0, 1.0], k_grid=(8, 16))
         assert eq.all_eventual
         assert set(eq.per_probe.values()) == {8}
+
+
+# ---------------------------------------------------------------------------
+# batched x: an array of x must give the stacked scalar calls, bit for bit
+
+def _xreparam(s3, k):
+    from gfkernel.basic import _XReparamKernel
+
+    return _XReparamKernel(s3.at(k), 0.1, 1.5)
+
+
+# kernel builder from (q3 sequence, q1 sequence, k), and an x range that
+# reaches both the scale plateau [-0.8, 0.8] and the tapering outside it
+BATCH_CASES = {
+    "scale": (lambda s3, s1, k: s3.at(k), (-1.9, 1.9)),
+    "lie": (lambda s3, s1, k: lie_seq(
+        VectorField(polynomial([0.3, 1.0, 0.5], DOM)), s3).at(k), (-1.9, 1.9)),
+    "translation": (lambda s3, s1, k: TranslationKernel(
+        make_mollifier(2).fn, float(k), DOM), (-1.5, 1.5)),
+    "restricted": (lambda s3, s1, k: restrict_seq(
+        s3, Domain.interval(-1.0, 1.0)).at(k), (-0.99, 0.99)),
+    "glued": (lambda s3, s1, k: glue_seqs(
+        [(-2.0, -0.4), (-1.1, 1.1)],
+        [restrict_seq(s3, Domain.interval(-2.0, -0.4)),
+         restrict_seq(s1, Domain.interval(-1.1, 1.1))], domain=DOM).at(k),
+        (-1.9, 1.05)),
+    "constant": (lambda s3, s1, k: constant_witness_seq(DOM).at(k), (-1.9, 1.9)),
+    "pullback": (lambda s3, s1, k: PullbackKernel(
+        standard_sequence(Domain.interval(-3.0, 3.0), make_mollifier(3)).at(k),
+        polynomial([0.0, 1.0, 0.0, 0.1], DOM),
+        polynomial([0.0, 1.0, 0.0, -0.1], Domain.interval(-3.0, 3.0)), DOM),
+        (-1.5, 1.5)),
+    "xreparam": (lambda s3, s1, k: _xreparam(s3, k), (-1.2, 1.2)),
+}
+
+
+@pytest.mark.parametrize("k", DEFAULT_K_GRID)
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_jets_equal_stacked_scalar_calls(q3_seq, q1_seq, case, k):
+    build, (lo, hi) = BATCH_CASES[case]
+    ker = build(q3_seq, q1_seq, k)
+
+    @settings(max_examples=4)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           st.integers(0, 2), st.integers(0, 2))
+    def check(fracs, mx, my):
+        # one x on the plateau, one off it, and the drawn ones
+        xs = np.array([0.05, lo + 0.02 * (hi - lo)] + [lo + f * (hi - lo) for f in fracs])
+        windows = [ker.y_window(float(x)) for x in xs]
+        Y = np.array([np.linspace(w.lo, w.hi, 11) for w in windows])
+        got = ker.jets(xs, mx, Y, my)
+        want = np.stack([ker.jets(float(x), mx, y, my) for x, y in zip(xs, Y)], axis=2)
+        assert got.shape == (mx + 1, my + 1) + Y.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    check()
+
+
+def test_batched_jets_reject_misshapen_rows(q3_seq):
+    with pytest.raises(ValueError):
+        q3_seq.at(8).jets(np.array([0.0, 0.1]), 0, np.linspace(-0.1, 0.1, 5), 0)
+
+
+# ---------------------------------------------------------------------------
+# batched pairing against one integrate per x and order, one jets per panel
+
+
+def _reference_pairing(ker, u, xs, m):
+    dpts = sorted({t.point for t in u.deltas})
+    out = np.zeros((m + 1, xs.size))
+    for idx, x in enumerate(xs.tolist()):
+        if u.deltas:
+            J = ker.jets(x, m, np.array(dpts), u.max_delta_order)
+            for t in u.deltas:
+                out[:, idx] += (t.coeff * (-1.0) ** t.order
+                                * J[:, t.order, dpts.index(t.point)])
+        w = ker.y_window(x) if u.densities else None
+        for t in u.densities:
+            lo, hi = w.lo, w.hi
+            if t.fn.support is not None:
+                lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
+                if lo >= hi:
+                    continue
+            for i in range(m + 1):
+                def f(ys, t=t, i=i, x=x):
+                    return t.fn.jet(ys, 0) * ker.jets(x, m, ys, 0)[i, 0]
+                res = integrate(f, (lo, hi), rel_tol=APPLY_REL_TOL,
+                                abs_tol=APPLY_ABS_TOL, points=t.fn.breaks)
+                out[i, idx] += t.coeff * res.value
+    return out
+
+
+PAIRING_INPUTS = {
+    "delta": lambda: delta(-0.129, domain=DOM),
+    "ddelta": lambda: delta(0.1, order=1, coeff=-1.5, domain=DOM),
+    "fn:sin": lambda: regular(sin_fn(), domain=DOM),
+    "H": lambda: heaviside(DOM, jump_at=0.25),
+    "H+delta": lambda: heaviside(DOM, jump_at=0.25) + delta(0.25, coeff=2.0, domain=DOM),
+}
+
+
+@pytest.mark.parametrize("k", [8, 64])
+@pytest.mark.parametrize("name", sorted(PAIRING_INPUTS))
+def test_batched_pairing_equals_per_x_reference(q3_seq, name, k):
+    ker, u = q3_seq.at(k), PAIRING_INPUTS[name]()
+    # plateau and taper, the jump's window, and both sides of the masses
+    xs = np.concatenate([np.linspace(-1.5, 1.5, 13), [0.2, 0.25, 0.251, 0.3]])
+    got = apply_kernel(ker, u)._jet_all(xs, 2)
+    want = _reference_pairing(ker, u, xs, 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_batched_pairing_keeps_the_panel_budget(q3_seq, monkeypatch):
+    ker, u = q3_seq.at(8), PAIRING_INPUTS["fn:sin"]()
+    xs = np.array([0.0, 0.3])
+    monkeypatch.setattr(smooth, "MAX_PANELS", 2)
+    with pytest.raises(NoConvergence):
+        _reference_pairing(ker, u, xs, 1)
+    with pytest.raises(NoConvergence):
+        apply_kernel(ker, u)._jet_all(xs, 1)

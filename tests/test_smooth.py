@@ -19,6 +19,7 @@ from gfkernel.smooth import (
     exp_fn,
     extend_by_zero,
     integrate,
+    integrate_rows,
     lie_smooth,
     lin_comb,
     partition_of_unity,
@@ -30,6 +31,7 @@ from gfkernel.smooth import (
     smoothstep,
 )
 from gfkernel.smooth import TestFn as CompactTestFn
+from gfkernel.smooth import _cuts
 
 
 class TestDomains:
@@ -231,6 +233,49 @@ class TestQuadrature:
                + b * integrate(lambda x: g.jet(x, 0), (0.0, 1.0),
                                rel_tol=1e-12, abs_tol=1e-14).value)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+    # bounds from the returned error estimates, plus the roundoff of the
+    # node sums (which the acceptance floor of integrate also allows)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.floats(-1.0, 0.5), st.floats(0.1, 2.0))
+    def test_linear_in_the_integrand_within_error_bounds(self, a, b, lo, width):
+        f = lambda x: np.sin(5.0 * x) * np.exp(x)
+        g = lambda x: np.abs(x - 0.1) ** 1.5
+        hi = lo + width
+        opts = dict(rel_tol=1e-9, abs_tol=1e-12, points=(0.1,))
+        both = integrate(lambda x: a * f(x) + b * g(x), (lo, hi), **opts)
+        rf, rg = integrate(f, (lo, hi), **opts), integrate(g, (lo, hi), **opts)
+        slack = 1e-13 * width * (abs(a) * math.exp(hi) + abs(b) * 3.0) + 1e-15
+        bound = both.error + abs(a) * rf.error + abs(b) * rg.error + slack
+        assert abs(both.value - (a * rf.value + b * rg.value)) <= bound
+
+    @given(st.floats(-2.0, 0.0), st.floats(0.2, 2.0), st.floats(0.01, 0.99))
+    def test_additive_over_an_interior_split(self, lo, width, frac):
+        f = lambda x: np.cos(7.0 * x) / (2.5 + x)
+        hi = lo + width
+        mid = lo + frac * width
+        opts = dict(rel_tol=1e-10, abs_tol=1e-13)
+        whole = integrate(f, (lo, hi), **opts)
+        left, right = integrate(f, (lo, mid), **opts), integrate(f, (mid, hi), **opts)
+        slack = 1e-13 * width * 2.0 + 1e-15
+        bound = whole.error + left.error + right.error + slack
+        assert abs(whole.value - (left.value + right.value)) <= bound
+
+
+    def test_rows_give_integrates_floats(self):
+        # one integral per row, each refined as integrate refines it alone
+        fns = [np.sin, lambda x: np.abs(x - 0.3), lambda x: np.exp(-40.0 * x * x), np.cos]
+        spans = [(0.0, 3.0, ()), (-1.0, 1.0, (0.3,)), (-2.0, 2.0, (0.0, 0.5)), (1.0, 1.0, ())]
+        cuts = [_cuts(lo, hi, pts) if lo < hi else [] for lo, hi, pts in spans]
+
+        def f(rows, ys):
+            return np.stack([fns[r](y) for r, y in zip(rows, ys)])
+
+        got = integrate_rows(f, cuts, rel_tol=1e-11, abs_tol=1e-14)
+        want = [integrate(g, (lo, hi), rel_tol=1e-11, abs_tol=1e-14, points=pts).value
+                for g, (lo, hi, pts) in zip(fns, spans)]
+        assert got.tolist() == want
 
 
 class TestSeminorm:
