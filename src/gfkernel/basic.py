@@ -565,7 +565,7 @@ class _XReparamKernel(Kernel):
         scale = self.slope ** np.arange(mx + 1)
         return B * scale[:, None, None]
 
-    def y_window(self, x: float) -> CompactInterval:
+    def y_window(self, x):
         return self.base.y_window(self._warp(x))
 
 

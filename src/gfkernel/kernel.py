@@ -150,8 +150,9 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def y_window(self, x: float) -> CompactInterval:
-        """A compact interval containing supp phi(x, .)."""
+    def y_window(self, x) -> CompactInterval | np.ndarray:
+        """A compact interval containing supp phi(x, .).  For a 1-D array of
+        x, an (nx, 2) array: row r is the scalar call's (lo, hi) at x[r]."""
         raise NotImplementedError
 
     def radius_sup(self) -> float | None:
@@ -189,6 +190,18 @@ def _per_x(jets):
         for r in range(xs.size):
             out[:, :, r] = jets(self, float(xs[r]), mx, Y[r], my)
         return out
+
+    return lifted
+
+
+def _per_x_window(y_window):
+    """Give a scalar-x ``y_window`` body the array-x contract, one x at a time."""
+
+    def lifted(self, x):
+        if np.ndim(x) == 0:
+            return y_window(self, x)
+        return np.array([(w.lo, w.hi) for w in
+                         (y_window(self, float(xi)) for xi in x)]).reshape(-1, 2)
 
     return lifted
 
@@ -309,10 +322,11 @@ class ScaleKernel(Kernel):
             spow = _series_mul(spow, sc)
         return out[:, :, 0] if scalar else out
 
-    def y_window(self, x: float) -> CompactInterval:
-        m0 = float(self.profile.jet(x, 0))
-        rad = m0 / self.k
-        return CompactInterval(x - rad, x + rad)
+    def y_window(self, x):
+        rad = self.profile.jet(x, 0) / self.k
+        if np.ndim(x) == 0:
+            return CompactInterval(x - rad, x + rad)
+        return np.stack([x - rad, x + rad], axis=-1)
 
     def radius_sup(self) -> float | None:
         return max(mb for _, _, mb in self.plateaus) / self.k
@@ -348,6 +362,7 @@ class TranslationKernel(Kernel):
                 out[i, j] = (-1.0) ** j * k ** (i + j + 1) * R[i + j]
         return out
 
+    @_per_x_window
     def y_window(self, x: float) -> CompactInterval:
         return CompactInterval(x - self.radius / self.k, x + self.radius / self.k)
 
@@ -379,7 +394,7 @@ class LieKernel(Kernel):
         out = moved + np.moveaxis(carried, 0, 1)
         return out[:, :, 0] if scalar else out
 
-    def y_window(self, x: float) -> CompactInterval:
+    def y_window(self, x):
         return self.base.y_window(x)
 
     def radius_sup(self) -> float | None:
@@ -424,6 +439,7 @@ class RestrictedKernel(Kernel):
             out += _leibniz(cj[:, None, None], cut)
         return out
 
+    @_per_x_window
     def y_window(self, x: float) -> CompactInterval:
         part = self._partition(x)
         base_w = self.base.y_window(x)
@@ -470,6 +486,7 @@ class GluedKernel(Kernel):
             out[:, :, mask] += _leibniz(wj[:, None, None], B)
         return out
 
+    @_per_x_window
     def y_window(self, x: float) -> CompactInterval:
         w = None
         for wt, ker in self.pieces:
@@ -508,6 +525,7 @@ class ConstantKernel(Kernel):
         out[0] = self.tf.fn.jets(ys, my)
         return out
 
+    @_per_x_window
     def y_window(self, x: float) -> CompactInterval:
         return self.tf.support
 
@@ -538,6 +556,7 @@ class PullbackKernel(Kernel):
         c = np.moveaxis(_series_compose(c, (vy / _FACT[: my + 1, None])[:, None, :]), 0, 1)
         return _series_compose(c, ux[:, None, None] / fx) * fx * fy
 
+    @_per_x_window
     def y_window(self, x: float) -> CompactInterval:
         w = self.base.y_window(float(self.mu.jet(x, 0)))
         a = float(self.mu_inv.jet(w.lo, 0))
@@ -716,10 +735,9 @@ def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
     """<t.fn, d_x^i phi(x, .)> for each x, density term t and order i <= m,
     shape (x.size, len(dens), m+1), one :func:`integrate_rows` row each."""
     cuts = []
-    for xi in x:
-        w = ker.y_window(float(xi))
+    for wlo, whi in ker.y_window(x).tolist():
         for t in dens:
-            lo, hi = w.lo, w.hi
+            lo, hi = wlo, whi
             if t.fn.support is not None:
                 lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
             cuts += [_cuts(lo, hi, t.fn.breaks) if lo < hi else []] * (m + 1)

@@ -141,9 +141,9 @@ def classify_seq(rep: SimplifiedRep, *, K: CompactInterval | None = None,
     K = K if K is not None else default_region(rep.domain)
     growth: dict = {}
     decay: dict = {}
-    for m in orders:
-        fit = fit_order([seminorm(f, K, m, grid=CLASSIFIER_GRID)
-                         for f in rep.fns], rep.k_grid)
+    sups = [seminorm(f, K, tuple(orders), grid=CLASSIFIER_GRID) for f in rep.fns]
+    for i, m in enumerate(orders):
+        fit = fit_order([v[i] for v in sups], rep.k_grid)
         growth[m] = SweepVerdict(fit, MODERATE_BOUND)
         decay[m] = SweepVerdict(fit, NEGLIGIBLE_SLOPE, FLOOR_REL)
     return SimplifiedClassification(growth, decay, K)
@@ -186,8 +186,7 @@ def _diag_mass(ker: Kernel, K: CompactInterval) -> float:
         return 0.0
     n = 65
     xs = np.linspace(K.lo, K.hi, n)
-    diag = np.array([ker.jets(float(x), 0, np.array([float(x)]), 0)[0, 0, 0]
-                     for x in xs])
+    diag = ker.jets(xs, 0, xs[:, None], 0)[0, 0, :, 0]
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-2:2] = 2.0

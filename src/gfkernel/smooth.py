@@ -711,8 +711,8 @@ def lie_smooth(X: VectorField, f: SmoothFn) -> SmoothFn:
 # seminorms
 
 
-def seminorm(f: SmoothFn, K: CompactInterval, m: int, *,
-             grid: int = SEMINORM_GRID) -> float:
+def seminorm(f: SmoothFn, K: CompactInterval, m: int | tuple[int, ...], *,
+             grid: int = SEMINORM_GRID) -> float | tuple[float, ...]:
     """sup over K of |f^(a)| for all orders a <= m, on a deterministic grid.
 
     The grid has ``grid`` uniform points plus one midpoint refinement pass
@@ -720,25 +720,35 @@ def seminorm(f: SmoothFn, K: CompactInterval, m: int, *,
     Two zoom passes then resample densely around the best point seen, so
     a narrow spike straddling two grid points is still measured; the
     estimate never decreases with zooming.
+
+    For a tuple of orders m, a tuple of each order's float, bit for bit:
+    one grid pass at the top order serves all, each zooms on its own.
     """
     if not f.domain.contains_interval(K.lo, K.hi, strict=True):
         raise OutOfDomain(f"compact [{K.lo}, {K.hi}] not inside domain")
+    orders = (m,) if np.ndim(m) == 0 else tuple(m)
+    if min(orders) < 0:
+        raise ValueError("derivative order must be >= 0")
     xs = np.linspace(K.lo, K.hi, grid)
     mids = 0.5 * (xs[:-1] + xs[1:])
     pts = np.concatenate([xs, mids])
-    vals = np.abs(f.jets(pts, m))
-    best = float(vals.max())
-    x0 = float(pts[vals.max(axis=0).argmax()])
-    h = 0.5 * (K.hi - K.lo) / (grid - 1)
-    for _ in range(2):
-        zpts = np.linspace(max(K.lo, x0 - h), min(K.hi, x0 + h), 65)
-        zv = np.abs(f.jets(zpts, m))
-        zbest = float(zv.max())
-        if zbest > best:
-            best = zbest
-            x0 = float(zpts[zv.max(axis=0).argmax()])
-        h /= 32.0
-    return best
+    grid_vals = np.abs(f.jets(pts, max(orders)))
+    out = []
+    for o in orders:
+        vals = grid_vals[: o + 1]
+        best = float(vals.max())
+        x0 = float(pts[vals.max(axis=0).argmax()])
+        h = 0.5 * (K.hi - K.lo) / (grid - 1)
+        for _ in range(2):
+            zpts = np.linspace(max(K.lo, x0 - h), min(K.hi, x0 + h), 65)
+            zv = np.abs(f.jets(zpts, o))
+            zbest = float(zv.max())
+            if zbest > best:
+                best = zbest
+                x0 = float(zpts[zv.max(axis=0).argmax()])
+            h /= 32.0
+        out.append(best)
+    return out[0] if np.ndim(m) == 0 else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -823,22 +833,27 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
     if hi <= lo:
         return QuadResult(0.0, 0.0)
     cuts = _cuts(lo, hi, points)
-    panels = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        panels.append((a, b) + _gk_panel(fn, a, b))
+    n = len(cuts) - 1
+    # rows [:n]: panels (lo, hi, value, error, mass), split halves appended
+    pan = np.empty((2 * n + 16, 5))
+    pan[:n] = [(a, b) + _gk_panel(fn, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     while True:
-        total = sum(p[2] for p in panels)
-        toterr = sum(p[3] for p in panels)
-        if _accepts(total, toterr, sum(p[4] for p in panels), rel_tol, abs_tol):
+        # left to right like integrate_rows (+ 0.0: its zero start); np.sum is pairwise
+        total, toterr, mass = (np.add.accumulate(pan[:n, 2:])[-1] + 0.0).tolist()
+        if _accepts(total, toterr, mass, rel_tol, abs_tol):
             return QuadResult(total, toterr)
-        if len(panels) >= MAX_PANELS:
+        if n >= MAX_PANELS:
             raise NoConvergence(
                 f"quadrature budget ({MAX_PANELS} panels) exhausted", total, toterr)
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        a, b, _, _, _ = panels.pop(worst)
+        worst = np.lexsort((pan[:n, 0], -pan[:n, 3]))[0]  # largest error, then leftmost
+        a, b = pan[worst, :2].tolist()
         mid = 0.5 * (a + b)
-        panels.append((a, mid) + _gk_panel(fn, a, mid))
-        panels.append((mid, b) + _gk_panel(fn, mid, b))
+        if n == len(pan):
+            pan = np.concatenate([pan, np.empty_like(pan)])
+        pan[worst: n - 1] = pan[worst + 1: n]
+        pan[n - 1] = (a, mid) + _gk_panel(fn, a, mid)
+        pan[n] = (mid, b) + _gk_panel(fn, mid, b)
+        n += 1
 
 
 def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> np.ndarray:
@@ -866,7 +881,7 @@ def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> np.ndarray:
         start = np.flatnonzero(np.r_[True, prow[1:] != prow[:-1]])
         count = np.diff(np.r_[start, prow.size])
         group = np.repeat(np.arange(start.size), count)
-        # left to right like integrate's sum() (CPython <= 3.11); np.sum is pairwise
+        # left to right like integrate's sums; np.sum is pairwise
         pad = np.zeros((count.max() + 1, start.size, 3))
         pad[np.arange(prow.size) - start[group] + 1, group] = pan[:, 2:]
         total, toterr, mass = np.add.accumulate(pad, axis=0)[-1].T

@@ -120,10 +120,14 @@ def element_family(R: BasicElement, seq: KernelSequence):
     return lambda k: eval_basic(R, seq.at(k))
 
 
-def sweep_seminorms(family, K: CompactInterval, m: int,
-                    k_grid=DEFAULT_K_GRID) -> AsymptoticFit:
+def sweep_seminorms(family, K: CompactInterval, m: int | tuple[int, ...],
+                    k_grid=DEFAULT_K_GRID) -> AsymptoticFit | dict:
+    """The fit of p_{K,m}(family(k)) over the grid; for a tuple of orders
+    m, {order: fit}, from one ``family(k)`` and one seminorm call per k."""
     vals = [seminorm(family(k), K, m, grid=CLASSIFIER_GRID) for k in k_grid]
-    return fit_order(vals, k_grid)
+    if np.ndim(m) == 0:
+        return fit_order(vals, k_grid)
+    return {o: fit_order([v[i] for v in vals], k_grid) for i, o in enumerate(m)}
 
 
 def _plateau_series_sup(f: SmoothFn, ker: Kernel, K: CompactInterval,
@@ -289,9 +293,9 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
 
     rate: dict = {}
     for name, f in _rate_battery(q, seq.domain):
-        for m in orders:
+        for m, sup in zip(orders, seminorm(f, K, tuple(orders))):
             fit = embedding_residual_sweep(f, seq, K=K, m=m, k_grid=k_grid)
-            floor = FLOOR_REL * max(1.0, seminorm(f, K, m))
+            floor = FLOOR_REL * max(1.0, sup)
             rate[(name, m)] = SweepVerdict(fit, bound, floor)
 
     growth: dict = {}
@@ -301,13 +305,9 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
         vals = []
         for k in k_grid:
             ker = seq.at(k)
-            worst = 0.0
-            for x in xs:
-                w = ker.y_window(float(x))
-                ys = np.linspace(w.lo, w.hi, 65)
-                J = ker.jets(float(x), m, ys, m)
-                worst = max(worst, float(np.max(np.abs(J[tri]))))
-            vals.append(worst)
+            w = ker.y_window(xs)
+            J = ker.jets(xs, m, np.linspace(w[:, 0], w[:, 1], 65, axis=-1), m)
+            vals.append(float(np.max(np.abs(J[tri]))))
         growth[m] = SweepVerdict(fit_order(vals, k_grid), MODERATE_BOUND)
 
     weak: dict = {}
@@ -392,9 +392,8 @@ def is_moderate(R: BasicElement, seq: KernelSequence | None = None, *,
     """Polynomial growth of all compact seminorms along the family."""
     seq = seq if seq is not None else default_family(R.domain, 3)
     K = K if K is not None else default_region(seq.domain)
-    fam = element_family(R, seq)
-    sweeps = {m: SweepVerdict(sweep_seminorms(fam, K, m, k_grid), MODERATE_BOUND)
-              for m in orders}
+    fits = sweep_seminorms(element_family(R, seq), K, tuple(orders), k_grid)
+    sweeps = {m: SweepVerdict(fits[m], MODERATE_BOUND) for m in orders}
     return ClassificationReport(sweeps, K)
 
 
@@ -416,11 +415,14 @@ def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
     along a specific object).
     """
     K = K if K is not None else default_region(R.domain)
-    sweeps = {}
+    by_family: dict = {}  # one sweep per family, over all its orders
     for m in orders:
         fam_seq = seq if seq is not None else default_family(R.domain, m + 1)
-        fit = sweep_seminorms(element_family(R, fam_seq), K, m, k_grid)
-        sweeps[m] = SweepVerdict(fit, NEGLIGIBLE_SLOPE, FLOOR_REL)
+        by_family.setdefault(fam_seq, []).append(m)
+    fits = {}
+    for fam_seq, ms in by_family.items():
+        fits.update(sweep_seminorms(element_family(R, fam_seq), K, tuple(ms), k_grid))
+    sweeps = {m: SweepVerdict(fits[m], NEGLIGIBLE_SLOPE, FLOOR_REL) for m in orders}
     return ClassificationReport(sweeps, K)
 
 

@@ -410,6 +410,18 @@ def test_batched_jets_equal_stacked_scalar_calls(q3_seq, q1_seq, case, k):
     check()
 
 
+@pytest.mark.parametrize("k", DEFAULT_K_GRID)
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_windows_equal_scalar_calls(q3_seq, q1_seq, case, k):
+    build, (lo, hi) = BATCH_CASES[case]
+    ker = build(q3_seq, q1_seq, k)
+    xs = np.concatenate([[0.05], np.linspace(lo, hi, 41)])
+    want = np.array([(w.lo, w.hi) for w in (ker.y_window(float(x)) for x in xs)])
+    got = ker.y_window(xs)
+    assert got.shape == (xs.size, 2)
+    assert np.array_equal(got, want)
+
+
 def test_batched_jets_reject_misshapen_rows(q3_seq):
     with pytest.raises(ValueError):
         q3_seq.at(8).jets(np.array([0.0, 0.1]), 0, np.linspace(-0.1, 0.1, 5), 0)

@@ -6,7 +6,7 @@ import pytest
 from gfkernel.basic import eval_basic, iota, sigma
 from gfkernel.dist import delta, regular
 from gfkernel.errors import DomainMismatch, NoSeparation
-from gfkernel.kernel import constant_witness_seq
+from gfkernel.kernel import constant_witness_seq, restrict_seq
 from gfkernel.simplified import (
     SimplifiedRep,
     classify_seq,
@@ -16,7 +16,7 @@ from gfkernel.simplified import (
     separation_values,
     sigma_seq,
 )
-from gfkernel.smooth import Domain, sin_fn
+from gfkernel.smooth import CompactInterval, Domain, sin_fn
 from gfkernel.testing import is_moderate, is_negligible
 from tests.conftest import SHORT_KS
 
@@ -84,6 +84,22 @@ class TestSeparation:
         vals = separation_values(q3_seq, SHORT_KS)
         assert len(vals) == 3
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_values_equal_a_scalar_x_loop(self, q3_seq):
+        # composite Simpson over 65 diagonal values, one jets call per x
+        def reference(ker, K):
+            xs = np.linspace(K.lo, K.hi, 65)
+            diag = np.array([ker.jets(float(x), 0, np.array([float(x)]), 0)[0, 0, 0]
+                             for x in xs])
+            w = np.ones(65)
+            w[1:-1:2] = 4.0
+            w[2:-2:2] = 2.0
+            return float((K.hi - K.lo) / 64 / 3.0 * (w @ diag))
+
+        K = CompactInterval(-0.7, 0.9)
+        for seq in (q3_seq, restrict_seq(q3_seq, Domain.interval(-1.0, 1.0))):
+            want = tuple(reference(seq.at(k), K) for k in SHORT_KS)
+            assert separation_values(seq, SHORT_KS, K=K) == want
 
     def test_witness_family_cannot_separate(self):
         with pytest.raises(NoSeparation):

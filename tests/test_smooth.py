@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gfkernel import smooth
 from gfkernel.errors import DomainMismatch, OutOfDomain
 from gfkernel.smooth import (
     CompactInterval,
@@ -263,6 +264,21 @@ class TestQuadrature:
         assert abs(whole.value - (left.value + right.value)) <= bound
 
 
+    def test_panel_sums_do_not_depend_on_builtin_sum(self, monkeypatch):
+        # panels of 1e16, 1 and -1e16: a left-to-right sum loses the 1, a
+        # compensated one (builtin sum since CPython 3.12) keeps it
+        def f(x):
+            return np.where(x < 1.0, 1e16, np.where(x < 2.0, 1.0, -1e16))
+
+        def compensated(values, start=0):
+            return math.fsum([start, *values])
+
+        monkeypatch.setattr(smooth, "sum", compensated, raising=False)
+        opts = dict(rel_tol=1e-9, abs_tol=1e-12)
+        got = integrate(f, (0.0, 3.0), points=(1.0, 2.0), **opts)
+        rows = integrate_rows(lambda rows, ys: f(ys), [_cuts(0.0, 3.0, (1.0, 2.0))], **opts)
+        assert got.value == rows[0] == 0.0
+
     def test_rows_give_integrates_floats(self):
         # one integral per row, each refined as integrate refines it alone
         fns = [np.sin, lambda x: np.abs(x - 0.3), lambda x: np.exp(-40.0 * x * x), np.cos]
@@ -279,6 +295,29 @@ class TestQuadrature:
 
 
 class TestSeminorm:
+    def test_tuple_of_orders_gives_each_orders_own_float(self):
+        # a narrow bump: |f|, |f'| and |f''| peak at different points, so
+        # each order zooms on its own centre
+        spike = bump(0.1234, 0.05) * sin_fn()
+        K = CompactInterval(-0.5, 0.5)
+        xs = np.linspace(K.lo, K.hi, 129)
+        pts = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
+        peaks = np.maximum.accumulate(np.abs(spike.jets(pts, 2)), axis=0).argmax(axis=1)
+        assert len(set(peaks.tolist())) == 3
+        cases = [(spike, K), (sin_fn(), CompactInterval(0.0, 1.0)),
+                 (bump(0.123456, 0.01), CompactInterval(0.0, 0.5)),
+                 (polynomial([0.5, -1.0, 0.0, 2.0]), CompactInterval(-1.0, 1.5))]
+        for f, K in cases:
+            for orders in [(0, 1, 2), (2, 0), (1,), (0, 3, 1, 2)]:
+                got = seminorm(f, K, orders, grid=129)
+                assert type(got) is tuple
+                assert got == tuple(seminorm(f, K, m, grid=129) for m in orders)
+        assert type(seminorm(sin_fn(), K, 1)) is float
+
+    def test_negative_order_in_a_tuple_is_rejected(self):
+        with pytest.raises(ValueError):
+            seminorm(sin_fn(), CompactInterval(0.0, 1.0), (0, -1))
+
     def test_interior_maximum_found(self):
         K = CompactInterval(0.0, math.pi / 2)
         assert seminorm(sin_fn(), K, 0) == pytest.approx(1.0, abs=1e-9)

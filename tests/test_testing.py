@@ -12,7 +12,9 @@ from gfkernel.errors import NonFiniteSweep, TooFewPoints
 from gfkernel.kernel import constant_witness_seq, make_mollifier, standard_sequence
 from gfkernel.smooth import CompactInterval, Domain, constant_field, polynomial, sin_fn
 from gfkernel.smooth import VectorField
+from gfkernel.smooth import seminorm
 from gfkernel.testing import (
+    FLOOR_REL,
     AsymptoticFit,
     ClassificationReport,
     SweepVerdict,
@@ -137,6 +139,27 @@ class TestGrading:
         assert rep.passed
         assert rep.grade == 1
 
+    def test_growth_values_and_rate_floors_equal_per_x_and_per_order_calls(self, dom):
+        seq = standard_sequence(dom, make_mollifier(1))
+        K = CompactInterval(-0.6, 0.4)
+        rep = validate_test_object(seq, K=K, k_grid=SHORT_KS)
+        xs = np.linspace(K.lo, K.hi, 33)
+        for m in (0, 1, 2):
+            tri = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m
+            want = []
+            for k in SHORT_KS:
+                ker, worst = seq.at(k), 0.0
+                for x in xs:
+                    w = ker.y_window(float(x))
+                    J = ker.jets(float(x), m, np.linspace(w.lo, w.hi, 65), m)
+                    worst = max(worst, float(np.max(np.abs(J[tri]))))
+                want.append(worst)
+            assert rep.growth[m].fit.values == tuple(want)
+        for name, f in [("x^2", polynomial([0.0, 0.0, 1.0])), ("sin", sin_fn())]:
+            for m in (0, 1, 2):
+                floor = FLOOR_REL * max(1.0, seminorm(f, K, m))
+                assert rep.rate[(name, m)].floor == floor
+
     def test_constant_witness_fails(self, dom):
         rep = validate_test_object(constant_witness_seq(dom), grade=0,
                                    k_grid=SHORT_KS, orders=(0,))
@@ -170,6 +193,17 @@ class TestModeration:
         rep = is_negligible(iota(delta(0.0, domain=DOM)), k_grid=SHORT_KS)
         assert not rep.verdict
         assert rep.sweeps[0].fit.slope == pytest.approx(1.0, abs=0.1)
+
+    def test_sweep_over_orders_equals_per_order_sweeps(self, q3_seq):
+        A = iota(delta(0.1, domain=DOM)) * iota(delta(0.1, domain=DOM))
+        B = lie_hat(VectorField(polynomial([0.3, 1.0], DOM)), iota(delta(-0.2, domain=DOM)))
+        K = CompactInterval(-0.5, 0.5)
+        for R in (A, B):
+            fam = element_family(R, q3_seq)
+            fits = sweep_seminorms(fam, K, (0, 1, 2), SHORT_KS)
+            assert list(fits) == [0, 1, 2]
+            for m in (0, 1, 2):
+                assert fits[m] == sweep_seminorms(fam, K, m, SHORT_KS)
 
     def test_growth_read_off_seminorm_sweep(self, q3_seq):
         A = iota(delta(0.0, domain=DOM))
