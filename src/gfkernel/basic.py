@@ -15,6 +15,7 @@ out exact rather than by finite differences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,8 +42,9 @@ from .smooth import (
     SmoothFn,
     TestFn,
     VectorField,
+    _product,
     bump,
-    combine,
+    compose,
     constant,
     lie_smooth,
     lin_comb,
@@ -86,12 +88,12 @@ class BasicElement:
 
     def __add__(self, other):
         if isinstance(other, BasicElement):
-            return Sum(self, other)
+            return _chain(Sum, self, other)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, BasicElement):
-            return Sum(self, _scale(-1.0, other))
+            return _chain(Sum, self, _scale(-1.0, other))
         return NotImplemented
 
     def __neg__(self):
@@ -99,20 +101,14 @@ class BasicElement:
 
     def __mul__(self, other):
         if isinstance(other, Sigma):
-            return SmoothScale(other.f, self)
+            return _scale(other.f, self)
         if isinstance(other, BasicElement):
-            return Product(self, other)
-        if isinstance(other, SmoothFn):
-            return SmoothScale(other, self)
-        if isinstance(other, (int, float)):
-            return _scale(float(other), self)
-        return NotImplemented
+            return _chain(Product, self, other)
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, SmoothFn):
-            return SmoothScale(other, self)
-        if isinstance(other, (int, float)):
-            return _scale(float(other), self)
+        if isinstance(other, (SmoothFn, int, float)):
+            return _scale(other, self)
         return NotImplemented
 
     def __call__(self, ker: Kernel) -> SmoothFn:
@@ -122,14 +118,26 @@ class BasicElement:
         return restrict_basic(self, V)
 
 
-def _scale(c: float, a: BasicElement) -> "SmoothScale":
-    return SmoothScale(constant(c, a.domain), a)
-
-
-def _common_domain(a: BasicElement, b: BasicElement) -> Domain:
+def _chain(kind: type, a: BasicElement, b: BasicElement) -> BasicElement:
+    """a + b or a * b, with b appended to a's parts when a is already a
+    chain of that kind; a right operand of that kind stays one part, so
+    the chain folds as the nested build did."""
     if a.domain != b.domain:
         raise DomainMismatch("elements live on different domains")
-    return a.domain
+    return kind(a.parts + (b,) if isinstance(a, kind) else (a, b))
+
+
+def _scale(f, a: BasicElement) -> "SmoothScale":
+    """f * a for a smooth f or a number, f outermost on a scaled a."""
+    if not isinstance(f, SmoothFn):
+        f = constant(float(f), a.domain)
+    elif f.domain != a.domain:
+        if not a.domain.is_subset(f.domain):
+            raise DomainMismatch("coefficient must cover the element's domain")
+        f = restrict_view(f, a.domain)
+    if isinstance(a, SmoothScale):
+        return SmoothScale((f,) + a.fs, a.a)
+    return SmoothScale((f,), a)
 
 
 @dataclass(frozen=True)
@@ -156,45 +164,34 @@ class Sigma(BasicElement):
 
 @dataclass(frozen=True)
 class Sum(BasicElement):
-    a: BasicElement
-    b: BasicElement
+    """parts[0] + parts[1] + ..., added left to right."""
 
-    def __post_init__(self):
-        _common_domain(self.a, self.b)
+    parts: tuple[BasicElement, ...]
 
     @property
     def domain(self) -> Domain:
-        return self.a.domain
+        return self.parts[0].domain
 
 
 @dataclass(frozen=True)
 class Product(BasicElement):
-    """Pointwise product of evaluated outputs; where new singular objects
-    (delta squared and friends) come from."""
+    """Pointwise product of evaluated outputs, multiplied left to right;
+    where new singular objects (delta squared and friends) come from."""
 
-    a: BasicElement
-    b: BasicElement
-
-    def __post_init__(self):
-        _common_domain(self.a, self.b)
+    parts: tuple[BasicElement, ...]
 
     @property
     def domain(self) -> Domain:
-        return self.a.domain
+        return self.parts[0].domain
 
 
 @dataclass(frozen=True)
 class SmoothScale(BasicElement):
-    """f * R for a fixed smooth f; the smooth-module structure."""
+    """fs[0] * (fs[1] * (... * a)) for fixed smooth fs on a's domain; the
+    smooth-module structure."""
 
-    f: SmoothFn
+    fs: tuple[SmoothFn, ...]
     a: BasicElement
-
-    def __post_init__(self):
-        if self.f.domain != self.a.domain:
-            if not self.a.domain.is_subset(self.f.domain):
-                raise DomainMismatch("coefficient must cover the element's domain")
-            object.__setattr__(self, "f", restrict_view(self.f, self.a.domain))
 
     @property
     def domain(self) -> Domain:
@@ -352,14 +349,12 @@ def tag_of(R: BasicElement) -> LocalityTag:
         return LocalityTag(CHAIN_POINT_INDEP, linear=True)
     if isinstance(R, Sigma):
         return LocalityTag(CHAIN_POINT_LOCAL, linear=False)
-    if isinstance(R, Sum):
-        return tag_of(R.a).meet(tag_of(R.b))
-    if isinstance(R, Product):
-        t = tag_of(R.a).meet(tag_of(R.b))
-        return LocalityTag(t.chain, linear=False)
+    if isinstance(R, (Sum, Product)):
+        t = functools.reduce(LocalityTag.meet, map(tag_of, R.parts))
+        return t if isinstance(R, Sum) else LocalityTag(t.chain, linear=False)
     if isinstance(R, SmoothScale):
         t = tag_of(R.a)
-        if R.f.const_value is not None:
+        if all(f.const_value is not None for f in R.fs):
             return t
         return LocalityTag(min(t.chain, CHAIN_POINT_LOCAL), t.linear)
     if isinstance(R, LieHat):
@@ -405,20 +400,22 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
     if isinstance(R, Sigma):
         return R.f if n == 0 else constant(0.0, ker.domain)
     if isinstance(R, Sum):
-        return d_eval(R.a, ker, dirs) + d_eval(R.b, ker, dirs)
+        return lin_comb([d_eval(p, ker, dirs) for p in R.parts], [1.0] * len(R.parts))
     if isinstance(R, Product):
         if n == 0:
-            return d_eval(R.a, ker, ()) * d_eval(R.b, ker, ())
+            return _product(*(d_eval(p, ker, ()) for p in R.parts))
+        # (all parts but the last) x (the last), by the binary product rule
+        a = R.parts[0] if len(R.parts) == 2 else Product(R.parts[:-1])
         idx = range(n)
         parts = []
         for r in range(n + 1):
             for S in itertools.combinations(idx, r):
                 Sc = tuple(i for i in idx if i not in S)
-                parts.append(d_eval(R.a, ker, tuple(dirs[i] for i in S))
-                             * d_eval(R.b, ker, tuple(dirs[i] for i in Sc)))
+                parts.append(d_eval(a, ker, tuple(dirs[i] for i in S))
+                             * d_eval(R.parts[-1], ker, tuple(dirs[i] for i in Sc)))
         return lin_comb(parts, [1.0] * len(parts))
     if isinstance(R, SmoothScale):
-        return R.f * d_eval(R.a, ker, dirs)
+        return _product(*R.fs, d_eval(R.a, ker, dirs), right=True)
     if isinstance(R, LieHat):
         X = R.X
         moved = d_eval(R.a, ker, (LieKernel(X, ker),) + dirs)
@@ -427,10 +424,7 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
             repl = dirs[:i] + (LieKernel(X, dirs[i]),) + dirs[i + 1:]
             cross.append(d_eval(R.a, ker, repl))
         ambient = lie_smooth(X, d_eval(R.a, ker, dirs))
-        out = ambient - moved
-        for c in cross:
-            out = out - c
-        return out
+        return lin_comb([ambient, moved, *cross], [1.0] + [-1.0] * (n + 1))
     if isinstance(R, LieTilde):
         return lie_smooth(R.X, d_eval(R.a, ker, dirs))
     if isinstance(R, Pushforward):
@@ -438,7 +432,7 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
         pdirs = tuple(PullbackKernel(d, R.mu.fwd, R.mu.inv, R.a.domain)
                       for d in dirs)
         up = d_eval(R.a, pulled, pdirs)
-        return combine(up, R.mu.inv, "compose")
+        return compose(up, R.mu.inv)
     if isinstance(R, GenericElement):
         return R.evaluator(ker) if n == 0 else _fd_differential(R, ker, dirs)
     raise TypeError(f"unknown element {type(R).__name__}")
@@ -486,12 +480,11 @@ def restrict_basic(R: BasicElement, V: Domain) -> BasicElement:
         return Iota(restrict_dist(R.u, V))
     if isinstance(R, Sigma):
         return Sigma(restrict_view(R.f, V))
-    if isinstance(R, Sum):
-        return Sum(restrict_basic(R.a, V), restrict_basic(R.b, V))
-    if isinstance(R, Product):
-        return Product(restrict_basic(R.a, V), restrict_basic(R.b, V))
+    if isinstance(R, (Sum, Product)):
+        return type(R)(tuple(restrict_basic(p, V) for p in R.parts))
     if isinstance(R, SmoothScale):
-        return SmoothScale(restrict_view(R.f, V), restrict_basic(R.a, V))
+        return SmoothScale(tuple(restrict_view(f, V) for f in R.fs),
+                           restrict_basic(R.a, V))
     if isinstance(R, LieHat):
         return LieHat(_field_on(R.X, V), restrict_basic(R.a, V))
     if isinstance(R, LieTilde):

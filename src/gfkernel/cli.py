@@ -322,9 +322,13 @@ def parse_config(path: str) -> dict:
                 ks = tuple(int(v) for v in value.split(","))
                 if len(ks) < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
                     raise ValueError("need at least two increasing rates")
+                if ks[0] < 1:
+                    raise ValueError(f"rates must be >= 1, got {ks[0]}")
                 cfg["ks"] = ks
             elif key == "grade":
                 cfg["grade"] = int(value)
+                if cfg["grade"] < 0:
+                    raise ValueError(f"grade must be >= 0, got {value}")
         except (ValueError, GFKernelError) as exc:
             raise ConfigError(f"line {ln}: bad value for {key!r}: {exc}") from None
     return cfg
@@ -336,6 +340,10 @@ def _context(args) -> dict:
     cfg.setdefault("ks", DEFAULT_K_GRID)
     cfg.setdefault("grade", 3)
     cfg.setdefault("region", None)
+    K, dom = cfg["region"], cfg["domain"]
+    if K is not None and not dom.contains_interval(K.lo, K.hi, strict=True):
+        raise ConfigError(f"region [{K.lo}, {K.hi}] is not inside the domain "
+                          f"{dom.intervals}")
     return cfg
 
 
@@ -392,6 +400,8 @@ def cmd_demo(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _context(args)
     grade = args.grade if args.grade is not None else cfg["grade"]
+    if grade < 0:
+        raise ConfigError(f"grade must be >= 0, got {grade}")
     seq = standard_sequence(cfg["domain"], make_mollifier(grade))
     rep = validate_test_object(seq, K=cfg["region"], k_grid=cfg["ks"])
     out = sys.stdout

@@ -28,7 +28,7 @@ from .smooth import (
     SmoothFn,
     TestFn,
     VectorField,
-    combine,
+    compose,
     constant,
     derivative_fn,
     integrate,
@@ -346,7 +346,7 @@ def pushforward_dist(u: Distribution, fwd: SmoothFn, inv: SmoothFn,
     densities: list[DensityTerm] = []
     for t in u.densities:
         g = t.fn
-        comp = combine(g, inv, "compose")
+        comp = compose(g, inv)
         h = (comp * derivative_fn(inv, 1)) * sgn
         supp = None
         if g.support is not None:

@@ -291,7 +291,7 @@ class SmoothFn:
 
     def __mul__(self, other):
         if isinstance(other, SmoothFn):
-            return combine(self, other, "product")
+            return _product(self, other)
         if isinstance(other, (int, float)):
             return lin_comb([self], [float(other)])
         return NotImplemented
@@ -543,30 +543,44 @@ def lin_comb(fns: Sequence[SmoothFn], coefs: Sequence[float]) -> SmoothFn:
     return SmoothFn(dom, jet_all, support=supp, jet_cap=cap, const_value=cv, breaks=breaks)
 
 
-def _product(f: SmoothFn, g: SmoothFn) -> SmoothFn:
-    dom = f.domain if f.domain == g.domain else f.domain.intersect(g.domain)
-    cap = min(f.jet_cap, g.jet_cap)
-    supp = None
-    if f.support is not None and g.support is not None:
-        supp = f.support.intersect(g.support)
-        if supp is None:
-            return constant(0.0, dom)
-    elif f.support is not None:
-        supp = f.support
-    elif g.support is not None:
-        supp = g.support
-    breaks = tuple(sorted(set(f.breaks) | set(g.breaks)))
-    cv = None
-    if f.const_value is not None and g.const_value is not None:
-        cv = f.const_value * g.const_value
+def _product(*fns: SmoothFn, right: bool = False) -> SmoothFn:
+    """The product of a chain in one closure: ((f1 f2) f3)..., or with
+    ``right`` f1 (f2 (f3 ...)).
+
+    Every jet and attribute is that of the nested binary products, bit
+    for bit; a pair of disjoint supports makes the running product the
+    constant 0, and the factors before it are never evaluated.
+    """
+    order = fns[::-1] if right else fns
+    f = order[0]
+    dom, cap, supp, cv = f.domain, f.jet_cap, f.support, f.const_value
+    breaks = set(f.breaks)
+    start = 0
+    for i, g in enumerate(order[1:], 1):
+        dom = dom if dom == g.domain else dom.intersect(g.domain)
+        if supp is not None and g.support is not None:
+            supp = supp.intersect(g.support)
+            if supp is None:  # from here on, a product with constant(0.0)
+                cap, cv, breaks, start = 99, 0.0, set(), i + 1
+                continue
+        supp = g.support if supp is None else supp
+        cap = min(cap, g.jet_cap)
+        breaks |= set(g.breaks)
+        cv = None if cv is None or g.const_value is None else cv * g.const_value
 
     def jet_all(x, m):
-        return _leibniz(f._masked_all(x, m), g._masked_all(x, m))
+        acc = np.zeros((m + 1, x.size)) if start else order[0]._masked_all(x, m)
+        for g in order[max(start, 1):]:
+            G = g._masked_all(x, m)
+            acc = _leibniz(G, acc) if right else _leibniz(acc, G)
+        return acc
 
-    return SmoothFn(dom, jet_all, support=supp, jet_cap=cap, const_value=cv, breaks=breaks)
+    return SmoothFn(dom, jet_all, support=supp, jet_cap=cap, const_value=cv,
+                    breaks=tuple(sorted(breaks)))
 
 
-def _compose(outer: SmoothFn, inner: SmoothFn) -> SmoothFn:
+def compose(outer: SmoothFn, inner: SmoothFn) -> SmoothFn:
+    """outer after inner, with exact jet propagation."""
     cap = min(outer.jet_cap, inner.jet_cap)
 
     def jet_all(x, m):
@@ -582,15 +596,6 @@ def _compose(outer: SmoothFn, inner: SmoothFn) -> SmoothFn:
         return hc * fact
 
     return SmoothFn(inner.domain, jet_all, jet_cap=cap, breaks=inner.breaks)
-
-
-def combine(f: SmoothFn, g: SmoothFn, op: str) -> SmoothFn:
-    """Product or composition (f after g), with exact jet propagation."""
-    if op == "product":
-        return _product(f, g)
-    if op == "compose":
-        return _compose(f, g)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def derivative_fn(f: SmoothFn, order: int = 1) -> SmoothFn:

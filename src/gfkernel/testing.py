@@ -179,11 +179,8 @@ def _singular_points(R: BasicElement) -> tuple[float, ...]:
         if isinstance(node, Iota):
             return ({t.point for t in node.u.deltas}
                     | {b for t in node.u.densities for b in t.fn.breaks})
-        pts = set()
-        for name in ("a", "b"):
-            child = getattr(node, name, None)
-            if isinstance(child, BasicElement):
-                pts |= walk(child)
+        kids = getattr(node, "parts", (getattr(node, "a", None),))
+        pts = set().union(*(walk(c) for c in kids if isinstance(c, BasicElement)))
         if isinstance(node, Pushforward):
             mu = node.mu
             pts = {float(mu.fwd.jet(p, 0)) for p in pts if mu.source.contains(p)}
@@ -483,7 +480,7 @@ def associated(A: BasicElement, B: BasicElement | None = None, *,
 
 def _summands(R: BasicElement) -> list[BasicElement]:
     if isinstance(R, Sum):
-        return _summands(R.a) + _summands(R.b)
+        return [s for p in R.parts for s in _summands(p)]
     return [R]
 
 

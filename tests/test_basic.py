@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfkernel.basic import (
     CHAIN_LOCAL,
     CHAIN_POINT_INDEP,
     CHAIN_POINT_LOCAL,
     Diffeo1D,
+    LocalityTag,
+    Sigma,
     affine_diffeo,
     as_generic,
     audit_tag,
@@ -31,6 +35,7 @@ from gfkernel.smooth import (
     Domain,
     VectorField,
     bump,
+    constant,
     constant_field,
     exp_fn,
     polynomial,
@@ -38,6 +43,51 @@ from gfkernel.smooth import (
 )
 
 DOM = Domain.interval(-2.0, 2.0)
+
+# chain leaves and coefficients: point masses, and smooth functions with
+# and without compact support, so products can vanish on disjoint supports
+POINTS = (-1.2, -0.1, 0.0, 0.3, 1.1)
+FNS = (sin_fn(DOM), exp_fn(DOM), polynomial([0.5, -1.0, 0.25], DOM),
+       bump(0.2, 0.5, DOM), bump(-1.0, 0.4, DOM))
+_leaf = st.one_of(st.tuples(st.just("iota"), st.sampled_from(POINTS)),
+                  st.tuples(st.just("sigma"), st.sampled_from(range(len(FNS)))))
+_args = {"+": _leaf, "-": _leaf, "*": _leaf,
+         "num": st.sampled_from((-1.5, 0.5, 3.0)),
+         "fn": st.sampled_from(range(len(FNS)))}
+
+
+@st.composite
+def _chains(draw):
+    """A first leaf, 0-4 steps, and one right-nested operand (op, (op, leaf,
+    leaf)) inserted at a drawn place: 2-6 parts.  Each chain draws its steps
+    from one palette, so long sums, products and scalings all come up."""
+    ops = draw(st.sampled_from((("+", "-"), ("*",), ("num", "fn"), tuple(_args))))
+    steps = draw(st.lists(st.sampled_from(ops).flatmap(
+        lambda op: st.tuples(st.just(op), _args[op])), max_size=4))
+    nested = draw(st.tuples(st.sampled_from("+-*"), st.sampled_from("+-*"),
+                            _leaf, _leaf))
+    return draw(_leaf), steps, draw(st.integers(0, len(steps))), nested
+
+
+def _leaf_triple(leaf, ker):
+    """(element, its evaluation, its tag) for one chain leaf."""
+    kind, arg = leaf
+    R = iota(delta(arg, domain=DOM)) if kind == "iota" else sigma(FNS[arg], DOM)
+    return R, eval_basic(R, ker), tag_of(R)
+
+
+def _binary(op, x, y):
+    """x op y on elements, and by the rules of binary nodes on evaluations
+    and tags: every sum, product and scaling one SmoothFn operation."""
+    (a, fa, ta), (b, fb, tb) = x, y
+    if op == "+":
+        return a + b, fa + fb, ta.meet(tb)
+    if op == "-":
+        return a - b, fa + constant(-1.0, DOM) * fb, ta.meet(tb)
+    if isinstance(b, Sigma):
+        return a * b, fb * fa, LocalityTag(min(ta.chain, CHAIN_POINT_LOCAL), ta.linear)
+    t = ta.meet(tb)
+    return a * b, fa * fb, LocalityTag(t.chain, False)
 
 
 class TestEmbeddings:
@@ -82,6 +132,35 @@ class TestAlgebra:
         np.testing.assert_allclose(
             eval_basic(3.0 * A - A, ker).jet(xs, 0), 2.0 * ea.jet(xs, 0),
             rtol=0, atol=1e-12)
+
+    @settings(max_examples=150)
+    @given(_chains())
+    def test_chains_keep_the_binary_floats(self, q3_seq, recipe):
+        first, steps, at, (outer, inner, l1, l2) = recipe
+        ker = q3_seq.at(16)
+        nested = _binary(inner, _leaf_triple(l1, ker), _leaf_triple(l2, ker))
+        steps.insert(at, (outer, nested))
+        cur = _leaf_triple(first, ker)
+        for op, arg in steps:
+            if op == "num":
+                a, fa, ta = cur
+                cur = arg * a, constant(arg, DOM) * fa, ta
+            elif op == "fn":
+                a, fa, ta = cur
+                cur = (FNS[arg] * a, FNS[arg] * fa,
+                       LocalityTag(min(ta.chain, CHAIN_POINT_LOCAL), ta.linear))
+            else:
+                cur = _binary(op, cur,
+                              arg if arg is nested else _leaf_triple(arg, ker))
+        R, want, want_tag = cur
+        got = eval_basic(R, ker)
+        xs = np.concatenate([np.linspace(-1.9, 1.9, 77), POINTS])
+        assert np.array_equal(got.jets(xs, 2), want.jets(xs, 2))
+        assert got.support == want.support
+        assert got.const_value == want.const_value
+        assert got.breaks == want.breaks
+        assert got.jet_cap == want.jet_cap
+        assert tag_of(R) == want_tag
 
     def test_domain_mismatch_rejected(self, q3_seq):
         other = sigma(sin_fn(), Domain.interval(-1.0, 1.0))

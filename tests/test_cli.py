@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfkernel.basic import eval_basic, iota, sigma
-from gfkernel.cli import main, parse_config, parse_expr
+from gfkernel.cli import _COMMANDS, main, parse_config, parse_expr
 from gfkernel.dist import delta, heaviside
 from gfkernel.errors import ConfigError, ParseError
 from gfkernel.smooth import CompactInterval, Domain, sin_fn
@@ -126,7 +126,9 @@ class TestConfig:
         ("spam = 1\n", "unknown key"),
         ("ks = 8\n", "bad value"),
         ("ks = 16, 8\n", "bad value"),
+        ("ks = 0, 8\n", "bad value"),
         ("grade = two\n", "bad value"),
+        ("grade = -1\n", "bad value"),
         ("domain -2 2\n", "expected key=value"),
         ("ks = 8, 16\nks = 8, 16\n", "duplicate"),
     ])
@@ -171,11 +173,35 @@ class TestExitCodes:
         assert code == 3
         assert "exceeds jet cap" in capsys.readouterr().err
 
-    def test_unexpected_exception_is_internal_error(self, quick_cfg, capsys):
-        # a flat product deeper than the interpreter's recursion limit
-        expr = "*".join(["sigma(fn:one)"] * 1500)
-        assert main(["--config", quick_cfg, "classify", expr]) == 4
-        assert "internal error: RecursionError" in capsys.readouterr().err
+    def test_unexpected_exception_is_internal_error(self, quick_cfg, capsys,
+                                                    monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(_COMMANDS, "classify", broken)
+        assert main(["--config", quick_cfg, "classify", "iota(delta(0))"]) == 4
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", [
+        "*".join(["sigma(fn:one)"] * 1500),
+        "+".join(["sigma(fn:one)"] * 1500),
+        "*".join(["iota(delta(1.5))"] * 1500),
+    ], ids=["sigma-product", "sigma-sum", "pointmass-product"])
+    def test_long_flat_chain_classifies(self, quick_cfg, capsys, expr):
+        # a chain far longer than the recursion limit: only nesting recurses
+        assert main(["--config", quick_cfg, "classify", expr]) == 0
+        assert "moderate: True" in capsys.readouterr().out
+
+    def test_region_outside_domain_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "wide.cfg"
+        p.write_text("ks = 8, 16\nregion = -3, 3\n")
+        assert main(["--config", str(p), "classify", "iota(delta(0))"]) == 2
+        assert "not inside the domain" in capsys.readouterr().err
+
+    def test_negative_grade_option_is_usage_error(self, quick_cfg, capsys):
+        code = main(["--config", quick_cfg, "validate-testobject", "--grade", "-2"])
+        assert code == 2
+        assert "grade must be >= 0" in capsys.readouterr().err
 
     def test_moderate_element_classifies_clean(self, quick_cfg, capsys):
         code = main(["--config", quick_cfg, "classify", "iota(delta(0))"])
