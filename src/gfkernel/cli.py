@@ -378,22 +378,24 @@ def cmd_demo(args) -> int:
     dom, ks = cfg["domain"], cfg["ks"]
     out = sys.stdout
     seq = default_family(dom, 3)
-    print("smoothing a point mass (values at the region center):", file=out)
-    dl = iota(delta(0.0, domain=dom))
-    for k in ks:
-        print(f"  k={k:4d}  delta_k(0) = {_fmt(element_family(dl, seq)(k).jet(0.0, 0))}",
-              file=out)
     K = cfg["region"] or default_region(dom)
+    c = 0.5 * (K.lo + K.hi)
+    print("smoothing a point mass (values at the region center):", file=out)
+    dl = iota(delta(c, domain=dom))
+    for k in ks:
+        print(f"  k={k:4d}  delta_k({c:g}) = {_fmt(element_family(dl, seq)(k).jet(c, 0))}",
+              file=out)
     fit = sweep_seminorms(element_family(dl * dl, seq), K, 0, ks)
     print(f"square of the point mass grows like k^{fit.slope:.3f}", file=out)
     res = embedding_residual_sweep(sin_fn(), seq, K=K, m=0, k_grid=ks)
     print(f"embedding residual of sin decays like k^{res.slope:.3f}", file=out)
-    hd = iota(heaviside(dom)) * dl
-    phi = TestFn(bump(0.0, 0.8, dom))
+    hd = iota(heaviside(dom, jump_at=c)) * dl
+    # a fifth of the domain's width (default_region clips an unbounded one)
+    phi = TestFn(bump(c, 0.8 * default_region(dom).width, dom))
     fn = element_family(hd, seq)(ks[-1])
     got = _pairing(fn, phi)
     print(f"step*delta paired with a bump at k={ks[-1]}: {_fmt(got)}", file=out)
-    print(f"  (half the bump's center value: {_fmt(phi.jet(0.0, 0) / 2)})", file=out)
+    print(f"  (half the bump's center value: {_fmt(phi.jet(c, 0) / 2)})", file=out)
     return 0
 
 
@@ -472,8 +474,9 @@ def cmd_sheaf_demo(args) -> int:
     print(f"same product through a non-localizing witness: sup = {_fmt(glob_sup)}",
           file=out)
     ok = split_sup == 0.0 and glob_sup > 0.0
-    dl = iota(delta(0.0, domain=dom))
-    right = dl.restrict(Domain.interval(0.5 * (hi - lo) * 0.25 + 0, hi))
+    c = 0.5 * (lo + hi)
+    dl = iota(delta(c, domain=dom))
+    right = dl.restrict(Domain.interval(c + 0.125 * (hi - lo), hi))
     neg = is_negligible(right, k_grid=cfg["ks"])
     print(f"point mass restricted away from its support is negligible: "
           f"{neg.verdict}", file=out)
@@ -495,6 +498,7 @@ def cmd_export(args) -> int:
     cfg = _context(args)
     dom, ks = cfg["domain"], cfg["ks"]
     K = cfg["region"] or default_region(dom)
+    c = 0.5 * (K.lo + K.hi)
     rows: list[tuple] = []
 
     for g in range(6):
@@ -505,13 +509,13 @@ def cmd_export(args) -> int:
             rows.append((f"embed-residual-q{g}", k, 0, v, fit.slope, ok))
 
     seq = default_family(dom, 3)
-    dl = iota(delta(0.0, domain=dom))
+    dl = iota(delta(c, domain=dom))
     fit = sweep_seminorms(element_family(dl * dl, seq), K, 0, ks)
     ok = abs(fit.slope - 2.0) <= 0.5
     for k, v in zip(ks, fit.values):
         rows.append(("pointmass-square", k, 0, v, fit.slope, ok))
 
-    H = iota(heaviside(dom))
+    H = iota(heaviside(dom, jump_at=c))
     fit = sweep_seminorms(element_family(H * H - H, seq), K, 0, ks)
     ok = fit.slope >= -0.2
     for k, v in zip(ks, fit.values):

@@ -728,9 +728,6 @@ APPLY_REL_TOL = 1e-10
 APPLY_ABS_TOL = 1e-13
 
 
-PAIR_BLOCK = 64  # x per density batch: caps the panels held at once
-
-
 def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
     """<t.fn, d_x^i phi(x, .)> for each x, density term t and order i <= m,
     shape (x.size, len(dens), m+1), one :func:`integrate_rows` row each."""
@@ -741,22 +738,20 @@ def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
             if t.fn.support is not None:
                 lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
             cuts += [_cuts(lo, hi, t.fn.breaks) if lo < hi else []] * (m + 1)
-    # kernel rows (all orders) by (x index, first node, last node): every
-    # order and density at x that visits a panel shares one evaluation
-    seen: dict = {}
 
     def f(rows, ys):
+        # kernel rows (all orders) by (x index, first node, last node): every
+        # order and density at x that visits a panel shares one evaluation
+        # per round; a kernel row's floats do not depend on its batch
         ix, it = np.divmod(rows // (m + 1), len(dens))
-        keys = list(zip(ix.tolist(), ys[:, 0].tolist(), ys[:, -1].tolist()))
-        new = {key: p for p, key in enumerate(keys) if key not in seen}
-        if new:
-            p = np.fromiter(new.values(), int, len(new))
-            J = ker.jets(x[ix[p]], m, ys[p], 0)[:, 0]
-            seen.update(zip(new, np.moveaxis(J, 1, 0)))
+        _, p, inv = np.unique(np.column_stack([ix, ys[:, 0], ys[:, -1]]), axis=0,
+                              return_index=True, return_inverse=True)
+        J = ker.jets(x[ix[p]], m, ys[p], 0)[:, 0]
         g = np.empty_like(ys)
         for j, t in enumerate(dens):
             g[it == j] = t.fn.jet(ys[it == j], 0)
-        return g * np.stack([seen[key][i] for key, i in zip(keys, (rows % (m + 1)).tolist())])
+        # ravel: return_inverse's shape for axis=0 differs across numpy 2.0.x
+        return g * J[rows % (m + 1), inv.ravel()]
 
     vals = integrate_rows(f, cuts, rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL)
     return vals.reshape(x.size, len(dens), m + 1)
@@ -786,10 +781,10 @@ def apply_kernel(ker: Kernel, u) -> SmoothFn:
             for t in u.deltas:
                 col = int(np.searchsorted(dpts, t.point))
                 out += t.coeff * (-1.0) ** t.order * J[:, t.order, :, col]
-        for s in range(0, x.size if u.densities else 0, PAIR_BLOCK):
-            vals = _pair_densities(ker, u.densities, x[s: s + PAIR_BLOCK], m)
+        if u.densities:
+            vals = _pair_densities(ker, u.densities, x, m)
             for j, t in enumerate(u.densities):
-                out[:, s: s + PAIR_BLOCK] += t.coeff * vals[:, j].T
+                out += t.coeff * vals[:, j].T
         return out
 
     supp = None

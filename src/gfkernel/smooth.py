@@ -242,34 +242,27 @@ class SmoothFn:
             return vals
         return self._jet_all(x, m)
 
-    def jet(self, x, m: int = 0):
+    def _checked_all(self, x, m: int) -> np.ndarray:
+        """All jets 0..m, shape (m+1,) + x.shape, after the order, jet-cap
+        and domain checks."""
         if m < 0:
             raise ValueError("derivative order must be >= 0")
         if m > self.jet_cap:
             raise JetCapExceeded(f"order {m} exceeds jet cap {self.jet_cap}")
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
         flat = np.atleast_1d(arr).ravel()
-        if not self.domain.contains(flat).all():
-            bad = flat[~self.domain.contains(flat)][0]
-            raise OutOfDomain(f"{bad} not in domain {self.domain.intervals}")
-        vals = self._masked_all(flat, m)[m]
-        if scalar:
-            return float(vals[0])
-        return vals.reshape(arr.shape)
+        inside = self.domain.contains(flat)
+        if not inside.all():
+            raise OutOfDomain(f"{flat[~inside][0]} not in domain {self.domain.intervals}")
+        return self._masked_all(flat, m).reshape((m + 1,) + arr.shape)
+
+    def jet(self, x, m: int = 0):
+        vals = self._checked_all(x, m)[m]
+        return float(vals) if vals.ndim == 0 else vals
 
     def jets(self, x, m: int) -> np.ndarray:
         """All derivatives 0..m at once, shape (m+1,) + x.shape."""
-        if m < 0:
-            raise ValueError("derivative order must be >= 0")
-        if m > self.jet_cap:
-            raise JetCapExceeded(f"order {m} exceeds jet cap {self.jet_cap}")
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
-        if not self.domain.contains(flat).all():
-            raise OutOfDomain(f"point outside domain {self.domain.intervals}")
-        vals = self._masked_all(flat, m)
-        return vals.reshape((m + 1,) + arr.shape)
+        return self._checked_all(x, m)
 
     def __call__(self, x):
         return self.jet(x, 0)

@@ -235,6 +235,12 @@ class TestExitCodes:
         assert main(["--config", quick_cfg, "demo"]) == 0
         assert "half the bump's center value" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["demo", "sheaf-demo", "export"])
+    def test_demos_run_on_a_domain_without_zero(self, tmp_path, capsys, command):
+        p = tmp_path / "shifted.cfg"
+        p.write_text("domain = 1, 5\nks = 8, 16\n")
+        assert main(["--config", str(p), command]) == 0
+
 
 class TestExport:
     def test_csv_shape_and_determinism(self, quick_cfg, tmp_path, capsys):

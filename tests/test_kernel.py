@@ -477,6 +477,22 @@ def test_batched_pairing_equals_per_x_reference(q3_seq, name, k):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+BATCH_XS = np.linspace(-1.5, 1.5, 129)  # more x than any earlier fixed batch
+
+
+@pytest.mark.parametrize("k", [8, 64])
+@pytest.mark.parametrize("name", ["H", "H+delta", "fn:sin"])
+@settings(max_examples=6)
+@given(splits=st.lists(st.integers(1, BATCH_XS.size - 1), max_size=4, unique=True))
+def test_pairing_floats_do_not_depend_on_batching(q3_seq, name, k, splits):
+    fn = apply_kernel(q3_seq.at(k), PAIRING_INPUTS[name]())
+    whole = fn._jet_all(BATCH_XS, 2)
+    parts = np.concatenate(
+        [fn._jet_all(xs, 2) for xs in np.split(BATCH_XS, sorted(splits))], axis=1)
+    assert np.array_equal(whole, parts)
+    assert np.array_equal(np.signbit(whole), np.signbit(parts))
+
+
 def test_batched_pairing_keeps_the_panel_budget(q3_seq, monkeypatch):
     ker, u = q3_seq.at(8), PAIRING_INPUTS["fn:sin"]()
     xs = np.array([0.0, 0.3])

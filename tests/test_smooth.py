@@ -184,6 +184,13 @@ class TestRestriction:
         with pytest.raises(OutOfDomain):
             f.jet(1.5, 0)
 
+    def test_jet_and_jets_name_the_point_outside(self):
+        f = restrict_view(sin_fn(), Domain.interval(-1.0, 1.0))
+        with pytest.raises(OutOfDomain, match=r"^1\.5 not in domain"):
+            f.jet(np.array([0.5, 1.5]), 0)
+        with pytest.raises(OutOfDomain, match=r"^1\.5 not in domain"):
+            f.jets(np.array([0.5, 1.5]), 1)
+
     def test_extend_by_zero(self):
         g = extend_by_zero(bump(0.0, 0.5, Domain.interval(-1.0, 1.0)),
                            Domain.interval(-2.0, 2.0))
