@@ -68,10 +68,12 @@ class NonFiniteSweep(GFKernelError):
 
 
 class NoConvergence(GFKernelError):
-    """Adaptive quadrature ran out of budget.
+    """Adaptive quadrature ran out of budget, or met a non-finite integrand.
 
     Carries the best available estimate and a (conservative) error bound so
-    callers can decide whether the partial answer is still usable.
+    callers can decide whether the partial answer is still usable; a
+    non-finite integrand carries estimate nan and bound inf at once, since
+    no refinement converges past it.
     """
 
     def __init__(self, message: str, estimate: float, error_bound: float):

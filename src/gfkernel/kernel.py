@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,7 @@ def _moment(f: SmoothFn, a: int, r: float) -> float:
                      points=(0.0,)).value
 
 
+@lru_cache
 def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
     """Mollifier of order q: unit mass, vanishing moments 1..q.
 
@@ -99,6 +101,8 @@ def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
     bump's own normalized moment, so the leading residual term of every
     induced smoothing operator has a known, comfortably nonzero size and
     low orders stay close to a plain bump (q <= 1 IS the normalized bump).
+    Cached per (q, radius): the result is frozen, and its moment memo
+    holds the same floats for every caller.
     """
     if q < 0:
         raise SingularMomentSystem("moment order must be nonnegative")
@@ -753,7 +757,7 @@ def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
         # ravel: return_inverse's shape for axis=0 differs across numpy 2.0.x
         return g * J[rows % (m + 1), inv.ravel()]
 
-    vals = integrate_rows(f, cuts, rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL)
+    vals = integrate_rows(f, cuts, rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL).value
     return vals.reshape(x.size, len(dens), m + 1)
 
 

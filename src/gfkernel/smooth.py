@@ -774,27 +774,30 @@ _GK_WG = np.array([
 
 
 class QuadResult(NamedTuple):
-    """An integral estimate and its error bound."""
+    """An integral estimate and its error bound (per-row arrays from
+    :func:`integrate_rows`)."""
 
     value: float
     error: float
 
 
-def _gk_sums(h, ys: np.ndarray):
-    """Kronrod value, |Kronrod - Gauss| error and |f| mass of panels from
-    their half-widths and the integrand at their 15 nodes (last axis).
+def _gk_panel(fn, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod value, |Kronrod - Gauss| error and |f| mass of the panels
+    (lo[p], hi[p]), from one ``fn`` call on their nodes, shape (P, 15).
     ``vecdot`` takes the 1-D dot ``w @ y`` per panel; a matrix product
-    would round differently."""
+    would round differently.  A non-finite mass raises
+    :class:`NoConvergence` before the other sums can warn: no refinement
+    gets past it."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    ys = fn(c[:, None] + h[:, None] * _GK_NODES)
+    mass = h * np.vecdot(np.abs(ys), _GK_WK)
+    finite = np.isfinite(mass)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise NoConvergence(f"integrand not finite on panel ({lo[p]}, {hi[p]})",
+                            math.nan, math.inf)
     ik = h * np.vecdot(ys, _GK_WK)
-    ig = h * np.vecdot(ys[..., 1::2], _GK_WG)
-    return ik, abs(ik - ig), h * np.vecdot(np.abs(ys), _GK_WK)
-
-
-def _gk_panel(fn, lo: float, hi: float) -> tuple[float, float, float]:
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    sums = _gk_sums(h, np.asarray(fn(c + h * _GK_NODES), dtype=float))
-    return tuple(float(v) for v in sums)
+    return ik, abs(ik - h * np.vecdot(ys[:, 1::2], _GK_WG)), mass
 
 
 _QUAD_NOISE = 1e-14  # relative to the integral of |f|
@@ -817,74 +820,62 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
               points: Iterable[float] = ()) -> QuadResult:
     """Deterministic adaptive Gauss-Kronrod integration of a vectorized fn.
 
+    ``fn`` maps a 1-D array of x to the integrand's values there.  The
+    integral is the one-row case of :func:`integrate_rows`, whose loop
+    and acceptance it shares, and whose :class:`NoConvergence` it raises.
     ``points`` lists interior locations that force panel boundaries
-    (support edges, piecewise breaks); refinement always splits the panel
-    with the largest error estimate, ties broken by position.  Raises
-    :class:`NoConvergence` (carrying the best estimate and a bound) if the
-    panel budget runs out.
-
-    Tolerances below the roundoff of summing |f| are unreachable for a
-    cancelling integrand; acceptance therefore includes a noise floor
-    proportional to the integral of |f|.
+    (support edges, piecewise breaks).
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         return QuadResult(0.0, 0.0)
-    cuts = _cuts(lo, hi, points)
-    n = len(cuts) - 1
-    # rows [:n]: panels (lo, hi, value, error, mass), split halves appended
-    pan = np.empty((2 * n + 16, 5))
-    pan[:n] = [(a, b) + _gk_panel(fn, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    while True:
-        # left to right like integrate_rows (+ 0.0: its zero start); np.sum is pairwise
-        total, toterr, mass = (np.add.accumulate(pan[:n, 2:])[-1] + 0.0).tolist()
-        if _accepts(total, toterr, mass, rel_tol, abs_tol):
-            return QuadResult(total, toterr)
-        if n >= MAX_PANELS:
-            raise NoConvergence(
-                f"quadrature budget ({MAX_PANELS} panels) exhausted", total, toterr)
-        worst = np.lexsort((pan[:n, 0], -pan[:n, 3]))[0]  # largest error, then leftmost
-        a, b = pan[worst, :2].tolist()
-        mid = 0.5 * (a + b)
-        if n == len(pan):
-            pan = np.concatenate([pan, np.empty_like(pan)])
-        pan[worst: n - 1] = pan[worst + 1: n]
-        pan[n - 1] = (a, mid) + _gk_panel(fn, a, mid)
-        pan[n] = (mid, b) + _gk_panel(fn, mid, b)
-        n += 1
+
+    def rows_fn(rows, ys):
+        return np.asarray(fn(ys.ravel()), dtype=float).reshape(ys.shape)
+
+    res = integrate_rows(rows_fn, [_cuts(lo, hi, points)], rel_tol=rel_tol, abs_tol=abs_tol)
+    return QuadResult(float(res.value[0]), float(res.error[0]))
 
 
-def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> np.ndarray:
-    """:func:`integrate` on many rows at once, one integral per row.
+def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> QuadResult:
+    """Adaptive Gauss-Kronrod 7/15 on many rows at once, one integral per row.
 
     ``cuts[r]``: row r's initial panel boundaries (``_cuts``; empty for a
     zero row).  ``fn(rows, ys)``: the integrands at nodes ``ys`` (P, 15),
     node row p in row ``rows[p]``, called once per round for the new
-    panels of every unsettled row.  Each row refines and sums exactly as
-    ``integrate`` does, so its value is the same float; the first row to
-    exhaust the budget raises :class:`NoConvergence`.
+    panels of every unsettled row.  Each round splits every unsettled
+    row's panel with the largest error estimate (ties: the leftmost) and
+    sums each row's panels left to right, so a row's floats do not depend
+    on the other rows.  Returns per-row values and the error estimates
+    they were accepted with.
+
+    Tolerances below the roundoff of summing |f| are unreachable for a
+    cancelling integrand; acceptance therefore includes a noise floor
+    proportional to the integral of |f|.  Raises :class:`NoConvergence`
+    when the first row exhausts the panel budget (with its estimate and
+    bound) or meets a non-finite integrand.
     """
-    value = np.zeros(len(cuts))
+    value, error = np.zeros(len(cuts)), np.zeros(len(cuts))
     nrow = np.repeat(np.arange(len(cuts)), [max(len(c) - 1, 0) for c in cuts])
     nab = np.array([p for c in cuts for p in zip(c[:-1], c[1:])]).reshape(-1, 2)
     # panels (lo, hi, value, error, mass) of unsettled rows, grouped by
-    # row, each row's panels in the order integrate's list holds them
+    # row, a split panel's halves at the end of its row
     prow, pan = nrow[:0], np.empty((0, 5))
     while nrow.size:
-        c, h = 0.5 * (nab[:, 0] + nab[:, 1]), 0.5 * (nab[:, 1] - nab[:, 0])
-        sums = _gk_sums(h, fn(nrow, c[:, None] + h[:, None] * _GK_NODES))
+        sums = _gk_panel(lambda ys: fn(nrow, ys), nab[:, 0], nab[:, 1])
         order = np.argsort(np.concatenate([prow, nrow]), kind="stable")
         prow = np.concatenate([prow, nrow])[order]
         pan = np.concatenate([pan, np.column_stack((nab,) + sums)])[order]
         start = np.flatnonzero(np.r_[True, prow[1:] != prow[:-1]])
         count = np.diff(np.r_[start, prow.size])
         group = np.repeat(np.arange(start.size), count)
-        # left to right like integrate's sums; np.sum is pairwise
+        # left to right from a zero start; np.sum is pairwise
         pad = np.zeros((count.max() + 1, start.size, 3))
         pad[np.arange(prow.size) - start[group] + 1, group] = pan[:, 2:]
         total, toterr, mass = np.add.accumulate(pad, axis=0)[-1].T
         done = _accepts(total, toterr, mass, rel_tol, abs_tol)
         value[prow[start[done]]] = total[done]
+        error[prow[start[done]]] = toterr[done]
         spent = ~done & (count >= MAX_PANELS)
         if spent.any():
             i = int(np.argmax(spent))
@@ -899,7 +890,7 @@ def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> np.ndarray:
         nrow = np.repeat(prow[worst], 2)
         nab = np.column_stack([a, 0.5 * (a + b), 0.5 * (a + b), b]).reshape(-1, 2)
         prow, pan = prow[keep], pan[keep]
-    return value
+    return QuadResult(value, error)
 
 
 # ---------------------------------------------------------------------------

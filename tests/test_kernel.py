@@ -46,6 +46,7 @@ from gfkernel.smooth import (
     sin_fn,
     smoothstep,
 )
+from tests.quadref import scalar_integrate
 
 DOM = Domain.interval(-2.0, 2.0)
 
@@ -428,7 +429,8 @@ def test_batched_jets_reject_misshapen_rows(q3_seq):
 
 
 # ---------------------------------------------------------------------------
-# batched pairing against one integrate per x and order, one jets per panel
+# batched pairing against one scalar-loop integral per x and order, one
+# jets per panel
 
 
 def _reference_pairing(ker, u, xs, m):
@@ -450,8 +452,8 @@ def _reference_pairing(ker, u, xs, m):
             for i in range(m + 1):
                 def f(ys, t=t, i=i, x=x):
                     return t.fn.jet(ys, 0) * ker.jets(x, m, ys, 0)[i, 0]
-                res = integrate(f, (lo, hi), rel_tol=APPLY_REL_TOL,
-                                abs_tol=APPLY_ABS_TOL, points=t.fn.breaks)
+                res = scalar_integrate(f, (lo, hi), rel_tol=APPLY_REL_TOL,
+                                       abs_tol=APPLY_ABS_TOL, points=t.fn.breaks)
                 out[i, idx] += t.coeff * res.value
     return out
 

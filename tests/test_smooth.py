@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfkernel import smooth
-from gfkernel.errors import DomainMismatch, OutOfDomain
+from gfkernel.errors import DomainMismatch, NoConvergence, OutOfDomain
 from gfkernel.smooth import (
     CompactInterval,
     Domain,
@@ -33,6 +33,7 @@ from gfkernel.smooth import (
 )
 from gfkernel.smooth import TestFn as CompactTestFn
 from gfkernel.smooth import _cuts
+from tests.quadref import scalar_integrate
 
 
 class TestDomains:
@@ -284,10 +285,10 @@ class TestQuadrature:
         opts = dict(rel_tol=1e-9, abs_tol=1e-12)
         got = integrate(f, (0.0, 3.0), points=(1.0, 2.0), **opts)
         rows = integrate_rows(lambda rows, ys: f(ys), [_cuts(0.0, 3.0, (1.0, 2.0))], **opts)
-        assert got.value == rows[0] == 0.0
+        assert got.value == rows.value[0] == 0.0
 
     def test_rows_give_integrates_floats(self):
-        # one integral per row, each refined as integrate refines it alone
+        # one integral per row, each refined as the scalar loop refines it alone
         fns = [np.sin, lambda x: np.abs(x - 0.3), lambda x: np.exp(-40.0 * x * x), np.cos]
         spans = [(0.0, 3.0, ()), (-1.0, 1.0, (0.3,)), (-2.0, 2.0, (0.0, 0.5)), (1.0, 1.0, ())]
         cuts = [_cuts(lo, hi, pts) if lo < hi else [] for lo, hi, pts in spans]
@@ -296,9 +297,72 @@ class TestQuadrature:
             return np.stack([fns[r](y) for r, y in zip(rows, ys)])
 
         got = integrate_rows(f, cuts, rel_tol=1e-11, abs_tol=1e-14)
-        want = [integrate(g, (lo, hi), rel_tol=1e-11, abs_tol=1e-14, points=pts).value
+        want = [scalar_integrate(g, (lo, hi), rel_tol=1e-11, abs_tol=1e-14, points=pts)
                 for g, (lo, hi, pts) in zip(fns, spans)]
-        assert got.tolist() == want
+        assert got.value.tolist() == [w.value for w in want]
+        assert got.error.tolist() == [w.error for w in want]
+
+    # piecewise integrands: a smooth wave plus a |x - s|^1.5 kink per
+    # piece, with jumps at breaks that the cut points may or may not name
+    @given(st.floats(-2.0, 0.0), st.floats(0.05, 3.0),
+           st.lists(st.floats(0.0, 1.0), max_size=3),
+           st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 40.0),
+                              st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+           st.lists(st.floats(0.0, 1.0), max_size=3),
+           st.sampled_from([1e-6, 1e-9, 1e-12]), st.integers(1, 12))
+    def test_integrate_is_the_scalar_loop(self, lo, width, breaks, pieces, points,
+                                          rel_tol, budget):
+        hi = lo + width
+        brk = np.sort([lo + b * width for b in breaks])
+        amp, freq, shift = map(np.array, zip(*pieces))
+
+        def f(x):
+            i = np.searchsorted(brk, x) % len(pieces)
+            return amp[i] * np.sin(freq[i] * x + shift[i]) + np.abs(x - shift[i]) ** 1.5
+
+        pts = [lo + p * width for p in points]
+        opts = dict(rel_tol=rel_tol, abs_tol=1e-14, points=pts)
+        got, want = integrate(f, (lo, hi), **opts), scalar_integrate(f, (lo, hi), **opts)
+        assert (got.value, got.error) == (want.value, want.error)
+        assert np.signbit(got.value) == np.signbit(want.value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smooth, "MAX_PANELS", budget)
+            outcomes = []
+            for quad in (integrate, scalar_integrate):
+                try:
+                    outcomes.append(tuple(quad(f, (lo, hi), **opts)))
+                except NoConvergence as exc:
+                    outcomes.append((str(exc), exc.estimate, exc.error_bound))
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_pole_is_not_accepted(self):
+        # the middle node hits the pole: an infinite panel sum once passed
+        # the relative test as inf <= rel_tol * inf
+        def f(x):
+            with np.errstate(divide="ignore"):
+                return 1.0 / (x - 0.5)
+
+        with pytest.raises(NoConvergence, match=r"not finite on panel \(0.0, 1.0\)") as exc:
+            integrate(f, (0.0, 1.0))
+        assert math.isnan(exc.value.estimate) and exc.value.error_bound == math.inf
+
+    @pytest.mark.parametrize("make", [lambda x: np.full_like(x, np.nan),
+                                      lambda x: np.where(x > 0.5, np.inf, 1.0)],
+                             ids=["nan", "inf-half"])
+    def test_non_finite_integrands_stop_at_once(self, make):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return make(x)
+
+        with pytest.raises(NoConvergence, match="not finite"):
+            integrate(f, (0.0, 1.0), points=(0.25,))
+        assert calls == [30]  # one round: both initial panels, no refinement
+        with pytest.raises(NoConvergence, match=r"panel \(0.25, 1.0\)"):
+            integrate_rows(lambda rows, ys: np.where(rows[:, None] == 1, make(ys), 1.0),
+                           [_cuts(0.0, 0.25, ()), _cuts(0.25, 1.0, ())],
+                           rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestSeminorm:
