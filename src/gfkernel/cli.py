@@ -393,7 +393,7 @@ def cmd_demo(args) -> int:
     # a fifth of the domain's width (default_region clips an unbounded one)
     phi = TestFn(bump(c, 0.8 * default_region(dom).width, dom))
     fn = element_family(hd, seq)(ks[-1])
-    got = _pairing(fn, phi)
+    got, = _pairing(fn, [phi])
     print(f"step*delta paired with a bump at k={ks[-1]}: {_fmt(got)}", file=out)
     print(f"  (half the bump's center value: {_fmt(phi.jet(c, 0) / 2)})", file=out)
     return 0

@@ -34,7 +34,6 @@ from .smooth import (
     _series_compose,
     _series_div,
     _series_mul,
-    _cuts,
     CompactInterval,
     Domain,
     DyadicPartition,
@@ -44,7 +43,6 @@ from .smooth import (
     bump,
     constant,
     integrate,
-    integrate_rows,
     partition_of_unity,
     plateau,
     polynomial,
@@ -734,14 +732,15 @@ APPLY_ABS_TOL = 1e-13
 
 def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
     """<t.fn, d_x^i phi(x, .)> for each x, density term t and order i <= m,
-    shape (x.size, len(dens), m+1), one :func:`integrate_rows` row each."""
-    cuts = []
+    shape (x.size, len(dens), m+1), one :func:`integrate` row each."""
+    spans, points = [], []
     for wlo, whi in ker.y_window(x).tolist():
         for t in dens:
             lo, hi = wlo, whi
             if t.fn.support is not None:
                 lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
-            cuts += [_cuts(lo, hi, t.fn.breaks) if lo < hi else []] * (m + 1)
+            spans += [(lo, hi)] * (m + 1)
+            points += [t.fn.breaks] * (m + 1)
 
     def f(rows, ys):
         # kernel rows (all orders) by (x index, first node, last node): every
@@ -757,7 +756,8 @@ def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
         # ravel: return_inverse's shape for axis=0 differs across numpy 2.0.x
         return g * J[rows % (m + 1), inv.ravel()]
 
-    vals = integrate_rows(f, cuts, rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL).value
+    vals = integrate(f, spans, rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL,
+                     points=points).value
     return vals.reshape(x.size, len(dens), m + 1)
 
 
@@ -765,7 +765,7 @@ def apply_kernel(ker: Kernel, u) -> SmoothFn:
     """The smooth function x -> <u, phi(x, .)> with exact delta jets.
 
     All x are paired at once: point masses in one ``jets`` call, densities
-    through :func:`integrate_rows`, one row per (x, density, order).
+    through :func:`integrate`, one row per (x, density, order).
     """
     from .dist import Distribution, support_dist
 

@@ -774,8 +774,7 @@ _GK_WG = np.array([
 
 
 class QuadResult(NamedTuple):
-    """An integral estimate and its error bound (per-row arrays from
-    :func:`integrate_rows`)."""
+    """An integral estimate and its error bound (arrays when :func:`integrate` takes rows)."""
 
     value: float
     error: float
@@ -817,52 +816,49 @@ def _accepts(total, toterr, mass, rel_tol: float, abs_tol: float):
 
 
 def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-              points: Iterable[float] = ()) -> QuadResult:
-    """Deterministic adaptive Gauss-Kronrod integration of a vectorized fn.
+              points: Iterable = ()) -> QuadResult:
+    """Deterministic adaptive Gauss-Kronrod 7/15 integration.
 
-    ``fn`` maps a 1-D array of x to the integrand's values there.  The
-    integral is the one-row case of :func:`integrate_rows`, whose loop
-    and acceptance it shares, and whose :class:`NoConvergence` it raises.
-    ``points`` lists interior locations that force panel boundaries
-    (support edges, piecewise breaks).
+    One integral: ``interval`` is ``(lo, hi)``, ``fn`` maps a 1-D array
+    of x to the integrand there, ``points`` lists interior locations that
+    force panel boundaries (support edges, piecewise breaks), and the
+    result holds floats.  Many: ``interval`` lists ``(lo, hi)`` rows (zero
+    where ``hi <= lo``), ``points`` one tuple of cuts per row, and
+    ``fn(rows, ys)`` gives the integrands at nodes ``ys`` (P, 15), node
+    row p in row ``rows[p]``, called once per round for the new panels of
+    every unsettled row; the result holds per-row arrays.
+
+    Each round splits every unsettled row's panel with the largest error
+    estimate (ties: the leftmost) and sums each row's panels left to
+    right, so a row's floats are those of its own one-integral call.  The
+    error is the estimate the value was accepted with.  Tolerances below
+    the roundoff of summing |f| are unreachable for a cancelling
+    integrand; acceptance therefore includes a noise floor proportional
+    to the integral of |f|.  Raises :class:`NoConvergence` when the first
+    row exhausts the panel budget (with its estimate and bound) or meets
+    a non-finite integrand, and ``ValueError`` when ``fn`` does not return
+    one value per node.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
-        return QuadResult(0.0, 0.0)
-
-    def rows_fn(rows, ys):
-        return np.asarray(fn(ys.ravel()), dtype=float).reshape(ys.shape)
-
-    res = integrate_rows(rows_fn, [_cuts(lo, hi, points)], rel_tol=rel_tol, abs_tol=abs_tol)
-    return QuadResult(float(res.value[0]), float(res.error[0]))
-
-
-def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> QuadResult:
-    """Adaptive Gauss-Kronrod 7/15 on many rows at once, one integral per row.
-
-    ``cuts[r]``: row r's initial panel boundaries (``_cuts``; empty for a
-    zero row).  ``fn(rows, ys)``: the integrands at nodes ``ys`` (P, 15),
-    node row p in row ``rows[p]``, called once per round for the new
-    panels of every unsettled row.  Each round splits every unsettled
-    row's panel with the largest error estimate (ties: the leftmost) and
-    sums each row's panels left to right, so a row's floats do not depend
-    on the other rows.  Returns per-row values and the error estimates
-    they were accepted with.
-
-    Tolerances below the roundoff of summing |f| are unreachable for a
-    cancelling integrand; acceptance therefore includes a noise floor
-    proportional to the integral of |f|.  Raises :class:`NoConvergence`
-    when the first row exhausts the panel budget (with its estimate and
-    bound) or meets a non-finite integrand.
-    """
+    one = np.shape(interval) == (2,)
+    rows, pts = ([interval], [points]) if one else (interval, points or [()] * len(interval))
+    cuts = [[] if hi <= lo else _cuts(float(lo), float(hi), p)
+            for (lo, hi), p in zip(rows, pts, strict=True)]
     value, error = np.zeros(len(cuts)), np.zeros(len(cuts))
     nrow = np.repeat(np.arange(len(cuts)), [max(len(c) - 1, 0) for c in cuts])
-    nab = np.array([p for c in cuts for p in zip(c[:-1], c[1:])]).reshape(-1, 2)
+    nab = np.array([p for c in cuts for p in zip(c[:-1], c[1:])], dtype=float).reshape(-1, 2)
+
+    def ev(ys):
+        out = np.asarray(fn(ys.ravel()) if one else fn(nrow, ys), dtype=float)
+        if out.size != ys.size:
+            raise ValueError("the integrand must return one value per node: expected "
+                             f"shape {(ys.size,) if one else ys.shape}, got {out.shape}")
+        return out.reshape(ys.shape)
+
     # panels (lo, hi, value, error, mass) of unsettled rows, grouped by
     # row, a split panel's halves at the end of its row
     prow, pan = nrow[:0], np.empty((0, 5))
     while nrow.size:
-        sums = _gk_panel(lambda ys: fn(nrow, ys), nab[:, 0], nab[:, 1])
+        sums = _gk_panel(ev, nab[:, 0], nab[:, 1])
         order = np.argsort(np.concatenate([prow, nrow]), kind="stable")
         prow = np.concatenate([prow, nrow])[order]
         pan = np.concatenate([pan, np.column_stack((nab,) + sums)])[order]
@@ -890,7 +886,7 @@ def integrate_rows(fn, cuts, *, rel_tol: float, abs_tol: float) -> QuadResult:
         nrow = np.repeat(prow[worst], 2)
         nab = np.column_stack([a, 0.5 * (a + b), 0.5 * (a + b), b]).reshape(-1, 2)
         prow, pan = prow[keep], pan[keep]
-    return QuadResult(value, error)
+    return QuadResult(float(value[0]), float(error[0])) if one else QuadResult(value, error)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .smooth import (
     CompactInterval,
     Domain,
     SmoothFn,
-    TestFn,
     exp_fn,
     integrate,
     polynomial,
@@ -189,14 +188,27 @@ def _singular_points(R: BasicElement) -> tuple[float, ...]:
     return tuple(sorted(walk(R)))
 
 
-def _pairing(fn: SmoothFn, phi: TestFn, hints=()) -> float:
-    lo, hi = phi.support.lo, phi.support.hi
+def _pair_rows(g, phis, spans, points, rel_tol: float, abs_tol: float) -> list[float]:
+    """The integral of g * phis[r] over spans[r] for each r, from one
+    :func:`integrate` call that evaluates g (on 1-D x) once per round."""
+
+    def f(rows, ys):
+        gy, out = g(ys.ravel()).reshape(ys.shape), np.empty_like(ys)
+        for r in np.unique(rows).tolist():
+            sel = rows == r
+            out[sel] = gy[sel] * phis[r].jet(ys[sel], 0)
+        return out
+
+    return integrate(f, spans, rel_tol=rel_tol, abs_tol=abs_tol, points=points).value.tolist()
+
+
+def _pairing(fn: SmoothFn, phis, hints=()) -> list[float]:
+    """<fn dx, phi> for each phi, cut at its breaks, the hints and fn's support."""
     # fn's own support edges too: inside a GenericElement no hint sees its spikes
     edges = () if fn.support is None else (fn.support.lo, fn.support.hi)
-    cuts = [b for b in (*phi.fn.breaks, *hints, *edges) if lo < b < hi]
-    res = integrate(lambda x: fn.jet(x, 0) * phi.jet(x, 0), (lo, hi),
-                    rel_tol=1e-10, abs_tol=1e-13, points=tuple(sorted(cuts)))
-    return res.value
+    spans = [(phi.support.lo, phi.support.hi) for phi in phis]
+    points = [(*phi.fn.breaks, *hints, *edges) for phi in phis]
+    return _pair_rows(lambda x: fn.jet(x, 0), phis, spans, points, 1e-10, 1e-13)
 
 
 def _hints_at(R: BasicElement, seq: KernelSequence, k: int) -> tuple[float, ...]:
@@ -313,14 +325,11 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
             ("step", heaviside(seq.domain, jump_at=mid))]
     battery = default_test_battery(seq.domain, n_centers=2, n_radii=2)
     for uname, u in sing:
-        fns = {k: eval_basic(Iota(u), seq.at(k)) for k in k_grid}
-        ws = {k: _window_radius(seq, k, mid) for k in k_grid}
-        for idx, phi in enumerate(battery):
-            target = pair(u, phi).value
-            vals = [_windowed_residual(fns[k], u, phi, mid, ws[k])
-                    for k in k_grid]
-            floor = FLOOR_REL * max(1.0, abs(target))
-            weak[(uname, idx)] = SweepVerdict(fit_order(vals, k_grid), -0.5, floor)
+        vals = [_windowed_residuals(eval_basic(Iota(u), seq.at(k)), u, battery, mid,
+                                    _window_radius(seq, k, mid)) for k in k_grid]
+        for idx, (phi, *row) in enumerate(zip(battery, *vals)):
+            floor = FLOOR_REL * max(1.0, abs(pair(u, phi).value))
+            weak[(uname, idx)] = SweepVerdict(fit_order(row, k_grid), -0.5, floor)
 
     return TestObjectReport(q, rate, growth, weak)
 
@@ -333,34 +342,28 @@ def _window_radius(seq: KernelSequence, k: int, p: float) -> float:
     return 1.5 * 0.5 * w.width
 
 
-def _windowed_residual(fn: SmoothFn, u, phi: TestFn, p: float,
-                       w: float) -> float:
-    """<fn dx, phi> - <u, phi> for u singular only at p, assuming fn
-    agrees with u's density beyond distance w of p.
+def _windowed_residuals(fn: SmoothFn, u, phis, p: float, w: float) -> list[float]:
+    """<fn dx, phi> - <u, phi> for each phi, for u singular only at p,
+    assuming fn agrees with u's density beyond distance w of p.
 
     Exact for delta combinations and piecewise-constant densities under
     a unit-mass kernel: away from the singular point the smoothing
     reproduces a constant identically, so the residual integrand is
     supported in the window and nowhere else.
     """
-    base = sum(t.coeff * (-1.0) ** t.order * phi.jet(t.point, t.order)
-               for t in u.deltas)
-    lo = max(phi.support.lo, p - w)
-    hi = min(phi.support.hi, p + w)
-    if hi <= lo:
-        return -base
+    spans = [(max(phi.support.lo, p - w), min(phi.support.hi, p + w)) for phi in phis]
+    cuts = (p, *(b for t in u.densities for b in t.fn.breaks))
 
-    def ev(xs):
-        xs = np.asarray(xs, dtype=float)
+    def g(xs):
         d = np.zeros(xs.shape)
         for t in u.densities:
             d += t.coeff * t.fn.jet(xs, 0)
-        return (fn.jet(xs, 0) - d) * phi.jet(xs, 0)
+        return fn.jet(xs, 0) - d
 
-    cuts = [p] + [b for t in u.densities for b in t.fn.breaks]
-    res = integrate(ev, (lo, hi), rel_tol=1e-9, abs_tol=1e-13,
-                    points=[c for c in cuts if lo < c < hi])
-    return res.value - base
+    got = _pair_rows(g, phis, spans, [cuts] * len(phis), 1e-9, 1e-13)
+    base = [sum(t.coeff * (-1.0) ** t.order * phi.jet(t.point, t.order) for t in u.deltas)
+            for phi in phis]
+    return [-b if hi <= lo else v - b for (lo, hi), v, b in zip(spans, got, base)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +463,17 @@ def associated(A: BasicElement, B: BasicElement | None = None, *,
     seq = seq if seq is not None else default_family(R.domain, 3)
     battery = battery if battery is not None else default_test_battery(R.domain)
     hints = {k: _hints_at(R, seq, k) for k in k_grid}
-    fns = {k: eval_basic(R, seq.at(k)) for k in k_grid}
+    vals = [_pairing(eval_basic(R, seq.at(k)), battery, hints[k]) for k in k_grid]
     # the cancellation noise of a difference scales with its summands, so
     # the floor is calibrated against them individually
     parts = _summands(A) + (_summands(B) if B is not None else [])
-    pfns = {k: [eval_basic(P, seq.at(k)) for P in parts] for k in k_grid}
+    scales = [_pair_scale([eval_basic(P, seq.at(k)) for P in parts], battery, hints[k])
+              for k in k_grid]
     sweeps = {}
-    for idx, phi in enumerate(battery):
-        vals = []
-        scale = 0.0
-        for k in k_grid:
-            vals.append(_pairing(fns[k], phi, hints[k]))
-            scale = max(scale, sum(_pair_scale(f, phi, hints[k])
-                                   for f in pfns[k]))
-        floor = ASSOC_FLOOR_REL * scale + FLOOR_REL
-        sweeps[idx] = SweepVerdict(fit_order(vals, k_grid), slope_bound, floor)
+    for idx in range(len(battery)):
+        fit = fit_order([v[idx] for v in vals], k_grid)
+        floor = ASSOC_FLOOR_REL * max([0.0, *(sc[idx] for sc in scales)]) + FLOOR_REL
+        sweeps[idx] = SweepVerdict(fit, slope_bound, floor)
     return AssociationReport(sweeps, slope_bound)
 
 
@@ -484,10 +483,15 @@ def _summands(R: BasicElement) -> list[BasicElement]:
     return [R]
 
 
-def _pair_scale(fn: SmoothFn, phi: TestFn, hints=()) -> float:
-    """Coarse upper-scale of <fn dx, phi>, for noise-floor calibration."""
-    lo, hi = phi.support.lo, phi.support.hi
-    xs = np.concatenate([np.linspace(lo, hi, 9),
-                         [h for h in hints if lo < h < hi]])
-    big = float(np.max(np.abs(fn.jet(xs, 0) * phi.jet(xs, 0))))
-    return big * (hi - lo)
+def _pair_scale(fns, phis, hints=()) -> list[float]:
+    """Coarse upper scale of sum over f of |<f dx, phi>| for each phi, for
+    noise-floor calibration: each f is sampled once, at the union of every
+    phi's points (9 across its support, and the hints inside it)."""
+    spans = [(phi.support.lo, phi.support.hi) for phi in phis]
+    xs = [np.concatenate([np.linspace(lo, hi, 9), [h for h in hints if lo < h < hi]])
+          for lo, hi in spans]
+    cut = np.cumsum([x.size for x in xs])[:-1]
+    fvals = [np.split(f.jet(np.concatenate(xs), 0), cut) for f in fns]
+    pvals = [phi.jet(x, 0) for phi, x in zip(phis, xs)]
+    return [sum(float(np.max(np.abs(fv[i] * pv))) * (hi - lo) for fv in fvals)
+            for i, (pv, (lo, hi)) in enumerate(zip(pvals, spans))]

@@ -1,6 +1,6 @@
 """A scalar reference for the adaptive quadrature loop.
 
-``smooth.integrate`` is the one-row case of ``smooth.integrate_rows``.
+``smooth.integrate`` runs every integral through one batched loop.
 This module keeps the loop the library used before that: one panel per
 integrand call, panels held in a list-ordered array, the worst panel
 split in place.  It shares only the rule's data (nodes, weights, cuts,

@@ -20,7 +20,6 @@ from gfkernel.smooth import (
     exp_fn,
     extend_by_zero,
     integrate,
-    integrate_rows,
     lie_smooth,
     lin_comb,
     partition_of_unity,
@@ -32,7 +31,6 @@ from gfkernel.smooth import (
     smoothstep,
 )
 from gfkernel.smooth import TestFn as CompactTestFn
-from gfkernel.smooth import _cuts
 from tests.quadref import scalar_integrate
 
 
@@ -284,19 +282,19 @@ class TestQuadrature:
         monkeypatch.setattr(smooth, "sum", compensated, raising=False)
         opts = dict(rel_tol=1e-9, abs_tol=1e-12)
         got = integrate(f, (0.0, 3.0), points=(1.0, 2.0), **opts)
-        rows = integrate_rows(lambda rows, ys: f(ys), [_cuts(0.0, 3.0, (1.0, 2.0))], **opts)
+        rows = integrate(lambda rows, ys: f(ys), [(0.0, 3.0)], points=[(1.0, 2.0)], **opts)
         assert got.value == rows.value[0] == 0.0
 
     def test_rows_give_integrates_floats(self):
         # one integral per row, each refined as the scalar loop refines it alone
         fns = [np.sin, lambda x: np.abs(x - 0.3), lambda x: np.exp(-40.0 * x * x), np.cos]
         spans = [(0.0, 3.0, ()), (-1.0, 1.0, (0.3,)), (-2.0, 2.0, (0.0, 0.5)), (1.0, 1.0, ())]
-        cuts = [_cuts(lo, hi, pts) if lo < hi else [] for lo, hi, pts in spans]
 
         def f(rows, ys):
             return np.stack([fns[r](y) for r, y in zip(rows, ys)])
 
-        got = integrate_rows(f, cuts, rel_tol=1e-11, abs_tol=1e-14)
+        got = integrate(f, [(lo, hi) for lo, hi, _ in spans], rel_tol=1e-11, abs_tol=1e-14,
+                        points=[pts for _, _, pts in spans])
         want = [scalar_integrate(g, (lo, hi), rel_tol=1e-11, abs_tol=1e-14, points=pts)
                 for g, (lo, hi, pts) in zip(fns, spans)]
         assert got.value.tolist() == [w.value for w in want]
@@ -360,9 +358,24 @@ class TestQuadrature:
             integrate(f, (0.0, 1.0), points=(0.25,))
         assert calls == [30]  # one round: both initial panels, no refinement
         with pytest.raises(NoConvergence, match=r"panel \(0.25, 1.0\)"):
-            integrate_rows(lambda rows, ys: np.where(rows[:, None] == 1, make(ys), 1.0),
-                           [_cuts(0.0, 0.25, ()), _cuts(0.25, 1.0, ())],
-                           rel_tol=1e-9, abs_tol=1e-12)
+            integrate(lambda rows, ys: np.where(rows[:, None] == 1, make(ys), 1.0),
+                      [(0.0, 0.25), (0.25, 1.0)])
+
+    def test_the_integrand_returns_one_value_per_node(self):
+        with pytest.raises(ValueError, match=r"one value per node: expected shape \(15,\), got \(\)"):
+            integrate(lambda x: 1.0, (0, 1))
+        with pytest.raises(ValueError, match=r"expected shape \(2, 15\), got \(2,\)"):
+            integrate(lambda rows, ys: ys[:, 0], [(0.0, 1.0), (1.0, 2.0)])
+        # checked every round: here the second round's one split panel
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sin(40.0 * x)[: 15 if len(calls) > 1 else None]
+
+        with pytest.raises(ValueError, match=r"expected shape \(30,\), got \(15,\)"):
+            integrate(f, (0.0, 1.0))
+        assert calls == [15, 30]
 
 
 class TestSeminorm:

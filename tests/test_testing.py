@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from gfkernel import smooth
 from gfkernel.basic import (
-    affine_diffeo, as_generic, iota, lie_hat, lie_tilde, pushforward, sigma)
+    affine_diffeo, as_generic, eval_basic, iota, lie_hat, lie_tilde, pushforward, sigma)
 from gfkernel.dist import default_test_battery, delta, heaviside, regular
-from gfkernel.errors import NonFiniteSweep, TooFewPoints
-from gfkernel.kernel import constant_witness_seq, make_mollifier, standard_sequence
+from gfkernel.errors import NoConvergence, NonFiniteSweep, TooFewPoints
+from gfkernel.kernel import (
+    DEFAULT_K_GRID, constant_witness_seq, make_mollifier, standard_sequence)
 from gfkernel.smooth import CompactInterval, Domain, constant_field, polynomial, sin_fn
 from gfkernel.smooth import VectorField
 from gfkernel.smooth import seminorm
 from gfkernel.testing import (
+    ASSOC_FLOOR_REL,
     FLOOR_REL,
     AsymptoticFit,
     ClassificationReport,
@@ -28,7 +33,9 @@ from gfkernel.testing import (
     sweep_seminorms,
     validate_test_object,
 )
+from gfkernel.testing import _hints_at, _pair_scale, _pairing, _summands
 from tests.conftest import SHORT_KS
+from tests.quadref import scalar_integrate
 
 DOM = Domain.interval(-2.0, 2.0)
 
@@ -281,3 +288,77 @@ class TestAssociation:
         plain = associated(iota(delta(0.3)), battery=[phi], k_grid=ks)
         assert not rep.verdict
         assert rep.sweeps[0].fit.values == plain.sweeps[0].fit.values
+
+
+X1 = constant_field(1.0, DOM)
+
+
+def _lie_pair(R):
+    return lie_tilde(X1, R), lie_hat(X1, R)
+
+
+class TestBatchedPairing:
+    """``associated`` pairs every battery row of a rate in one quadrature;
+    each row must keep the floats of its own scalar integral."""
+
+    @given(st.floats(-0.5, 0.5), st.integers(0, 1), st.booleans(),
+           st.sampled_from([8, 16, 32]),
+           st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
+           st.lists(st.floats(-2.0, 2.0), max_size=4), st.integers(1, 12))
+    def test_rows_equal_the_scalar_loop(self, q3_seq, p, order, smooth_part, k,
+                                        picks, hints, budget):
+        R = iota(delta(p, order=order, domain=DOM))
+        if smooth_part:
+            R = R + sigma(sin_fn(), DOM)
+        fn = eval_basic(R, q3_seq.at(k))
+        battery = default_test_battery(DOM)
+        phis = [battery[i] for i in picks]
+        edges = () if fn.support is None else (fn.support.lo, fn.support.hi)
+
+        def reference(phi):
+            return scalar_integrate(lambda x: fn.jet(x, 0) * phi.jet(x, 0),
+                                    (phi.support.lo, phi.support.hi),
+                                    rel_tol=1e-10, abs_tol=1e-13,
+                                    points=(*phi.fn.breaks, *hints, *edges))
+
+        got = _pairing(fn, phis, hints)
+        want = [reference(phi).value for phi in phis]
+        assert got == want
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smooth, "MAX_PANELS", budget)
+            failing = []
+            for phi in phis:
+                try:
+                    reference(phi)
+                except NoConvergence:
+                    failing.append(phi)
+            try:
+                _pairing(fn, phis, hints)
+                raised = False
+            except NoConvergence:
+                raised = True
+        assert raised == bool(failing)
+
+    @pytest.mark.parametrize("A, B", [
+        # the association workload's templates, at parameters its seeds draw
+        (iota(delta(-0.197, 1, -1.664, DOM)), lie_hat(X1, iota(delta(-0.197, 0, -1.664, DOM)))),
+        (sigma(polynomial([0.0, 0.0, 1.0]), DOM) * iota(delta(0.204, 0, 1.3, DOM)),
+         iota(delta(0.204, 0, round(1.3 * 0.204 ** 2, 6), DOM))),
+        _lie_pair(iota(delta(-0.251, 0, 0.97, DOM)) + sigma(sin_fn() * -1.2, DOM)),
+        _lie_pair(iota(delta(0.004, 0, -1.03, DOM)) + sigma(polynomial([0.0, 0.0, 0.8]), DOM)),
+    ], ids=["ddelta-vs-liehat", "x2-times-delta", "lie-check-sin", "lie-check-x2"])
+    def test_association_equals_one_row_calls(self, A, B):
+        rep = associated(A, B)
+        R = A - B
+        seq = standard_sequence(DOM, make_mollifier(3))
+        parts = _summands(A) + _summands(B)
+        for idx, phi in enumerate(default_test_battery(DOM)):
+            vals, scale = [], 0.0
+            for k in DEFAULT_K_GRID:
+                hints = _hints_at(R, seq, k)
+                vals += _pairing(eval_basic(R, seq.at(k)), [phi], hints)
+                scale = max(scale, sum(_pair_scale([eval_basic(P, seq.at(k))], [phi], hints)[0]
+                                       for P in parts))
+            assert rep.sweeps[idx].fit.values == fit_order(vals).values
+            assert rep.sweeps[idx].floor == ASSOC_FLOOR_REL * scale + FLOOR_REL
