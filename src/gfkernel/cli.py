@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .basic import BasicElement, iota, lie_hat, lie_tilde, sigma
-from .dist import delta, heaviside, regular
+from .dist import delta, heaviside, pair, regular
 from .errors import ConfigError, DomainMismatch, GFKernelError, ParseError
 from .kernel import (
     DEFAULT_K_GRID,
@@ -37,7 +37,8 @@ from .smooth import (
     sin_fn,
 )
 from .testing import (
-    _pairing,
+    ASSOC_ABS_TOL,
+    ASSOC_REL_TOL,
     associated,
     default_family,
     default_region,
@@ -393,7 +394,7 @@ def cmd_demo(args) -> int:
     # a fifth of the domain's width (default_region clips an unbounded one)
     phi = TestFn(bump(c, 0.8 * default_region(dom).width, dom))
     fn = element_family(hd, seq)(ks[-1])
-    got, = _pairing(fn, [phi])
+    got, = pair(regular(fn), [phi], rel_tol=ASSOC_REL_TOL, abs_tol=ASSOC_ABS_TOL).value
     print(f"step*delta paired with a bump at k={ks[-1]}: {_fmt(got)}", file=out)
     print(f"  (half the bump's center value: {_fmt(phi.jet(c, 0) / 2)})", file=out)
     return 0
@@ -451,6 +452,8 @@ def cmd_associate(args) -> int:
     cfg = _context(args)
     A = parse_expr(args.left, cfg["domain"])
     B = parse_expr(args.right, cfg["domain"]) if args.right is not None else None
+    if B is not None and B.domain != A.domain:
+        raise ParseError(f"the right operand lives on another domain, {B.domain.intervals}", 0)
     return _show_association(associated(A, B, k_grid=cfg["ks"]), "associated")
 
 
@@ -528,8 +531,11 @@ def cmd_export(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from None
     return 0
 
 

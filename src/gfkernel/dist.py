@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .smooth import (
     CompactInterval,
     Domain,
     PiecewiseFn,
+    QuadResult,
     SmoothFn,
     TestFn,
     VectorField,
@@ -54,11 +54,6 @@ class DensityTerm:
 
     fn: SmoothFn
     coeff: float
-
-
-class PairingReport(NamedTuple):
-    value: float
-    est_error: float
 
 
 @dataclass(frozen=True)
@@ -131,38 +126,53 @@ def heaviside(domain: Domain = Domain.interval(-2.0, 2.0), jump_at: float = 0.0)
 # pairing
 
 
-def pair(u: Distribution, phi) -> PairingReport:
-    """<u, phi> for a compactly supported smooth phi.
+def pair(u: Distribution, phis, *, points=(), rel_tol: float = PAIR_REL_TOL,
+         abs_tol: float = PAIR_ABS_TOL) -> QuadResult:
+    """<u, phi> for each compactly supported smooth phi: value and error arrays.
 
-    Delta terms are exact (jet evaluation); density terms integrate
-    adaptively with panel splits at the support edges and at every
-    flagged break of the density.
-    """
-    f = phi.fn if isinstance(phi, TestFn) else phi
-    s = f.support
-    if s is None:
-        raise UnboundedSupport("pairing needs a compactly supported test function")
-    if not u.domain.contains_interval(s.lo, s.hi, strict=True):
-        raise NotContained("test function support must sit inside the domain")
-    total = 0.0
-    err = 0.0
+    Point masses are exact jets, added first.  Each (density, phi) row spans
+    the overlap of their supports, cut at both breaks and at ``points``; one
+    :func:`integrate` call runs every row and evaluates each density once
+    per round over the new nodes of its rows."""
+    fs = [phi.fn if isinstance(phi, TestFn) else phi for phi in phis]
+    for f in fs:
+        if f.support is None:
+            raise UnboundedSupport("pairing needs a compactly supported test function")
+        if not u.domain.contains_interval(f.support.lo, f.support.hi, strict=True):
+            raise NotContained("test function support must sit inside the domain")
+    value, error = np.zeros(len(fs)), np.zeros(len(fs))
     for t in u.deltas:
-        if not f.domain.contains(t.point):
-            continue  # outside the test function's world, hence its support
-        total += t.coeff * (-1.0) ** t.order * f.jet(t.point, t.order)
+        for i, f in enumerate(fs):
+            if f.domain.contains(t.point):  # else outside f's world, hence its support
+                value[i] += t.coeff * (-1.0) ** t.order * f.jet(t.point, t.order)
+    if not (u.densities and fs):
+        return QuadResult(value, error)
+    spans, cuts = [], []
     for t in u.densities:
-        lo, hi = s.lo, s.hi
-        if t.fn.support is not None:
-            lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
-            if lo >= hi:
-                continue
-        cuts = tuple(b for b in (*t.fn.breaks, *f.breaks) if lo < b < hi)
-        dens = t.fn
-        res = integrate(lambda xs: dens.jet(xs, 0) * f.jet(xs, 0), (lo, hi),
-                        rel_tol=PAIR_REL_TOL, abs_tol=PAIR_ABS_TOL, points=cuts)
-        total += t.coeff * res.value
-        err += abs(t.coeff) * res.error
-    return PairingReport(total, err)
+        for f in fs:
+            lo, hi = f.support.lo, f.support.hi
+            if t.fn.support is not None:
+                lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
+            spans.append((lo, hi))
+            cuts.append((*t.fn.breaks, *f.breaks, *points))
+
+    def integrand(rows, ys):
+        dens, phi = np.divmod(rows, len(fs))
+        out = np.empty_like(ys)
+        for j in np.unique(dens).tolist():
+            on = dens == j
+            out[on] = u.densities[j].fn.jet(ys[on], 0)
+        for i in np.unique(phi).tolist():
+            on = phi == i
+            out[on] *= fs[i].jet(ys[on], 0)
+        return out
+
+    res = integrate(integrand, spans, rel_tol=rel_tol, abs_tol=abs_tol, points=cuts)
+    rows = zip(res.value.reshape(-1, len(fs)), res.error.reshape(-1, len(fs)))
+    for t, (v, e) in zip(u.densities, rows):
+        value += t.coeff * v
+        error += abs(t.coeff) * e
+    return QuadResult(value, error)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basic import BasicElement, Iota, Pushforward, Sum, eval_basic
-from .dist import default_test_battery, delta, heaviside, pair, regular
+from .dist import Distribution, default_test_battery, delta, heaviside, pair, regular
 from .errors import NonFiniteSweep, TooFewPoints
 from .kernel import (
     DEFAULT_K_GRID,
@@ -37,7 +37,6 @@ from .smooth import (
     Domain,
     SmoothFn,
     exp_fn,
-    integrate,
     polynomial,
     restrict_view,
     seminorm,
@@ -188,29 +187,6 @@ def _singular_points(R: BasicElement) -> tuple[float, ...]:
     return tuple(sorted(walk(R)))
 
 
-def _pair_rows(g, phis, spans, points, rel_tol: float, abs_tol: float) -> list[float]:
-    """The integral of g * phis[r] over spans[r] for each r, from one
-    :func:`integrate` call that evaluates g (on 1-D x) once per round."""
-
-    def f(rows, ys):
-        gy, out = g(ys.ravel()).reshape(ys.shape), np.empty_like(ys)
-        for r in np.unique(rows).tolist():
-            sel = rows == r
-            out[sel] = gy[sel] * phis[r].jet(ys[sel], 0)
-        return out
-
-    return integrate(f, spans, rel_tol=rel_tol, abs_tol=abs_tol, points=points).value.tolist()
-
-
-def _pairing(fn: SmoothFn, phis, hints=()) -> list[float]:
-    """<fn dx, phi> for each phi, cut at its breaks, the hints and fn's support."""
-    # fn's own support edges too: inside a GenericElement no hint sees its spikes
-    edges = () if fn.support is None else (fn.support.lo, fn.support.hi)
-    spans = [(phi.support.lo, phi.support.hi) for phi in phis]
-    points = [(*phi.fn.breaks, *hints, *edges) for phi in phis]
-    return _pair_rows(lambda x: fn.jet(x, 0), phis, spans, points, 1e-10, 1e-13)
-
-
 def _hints_at(R: BasicElement, seq: KernelSequence, k: int) -> tuple[float, ...]:
     pts = _singular_points(R)
     w = seq.radius_bound(k)
@@ -327,9 +303,10 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
     for uname, u in sing:
         vals = [_windowed_residuals(eval_basic(Iota(u), seq.at(k)), u, battery, mid,
                                     _window_radius(seq, k, mid)) for k in k_grid]
-        for idx, (phi, *row) in enumerate(zip(battery, *vals)):
-            floor = FLOOR_REL * max(1.0, abs(pair(u, phi).value))
-            weak[(uname, idx)] = SweepVerdict(fit_order(row, k_grid), -0.5, floor)
+        for idx, size in enumerate(pair(u, battery).value):
+            floor = FLOOR_REL * max(1.0, abs(size))
+            weak[(uname, idx)] = SweepVerdict(fit_order([v[idx] for v in vals], k_grid),
+                                              -0.5, floor)
 
     return TestObjectReport(q, rate, growth, weak)
 
@@ -342,7 +319,7 @@ def _window_radius(seq: KernelSequence, k: int, p: float) -> float:
     return 1.5 * 0.5 * w.width
 
 
-def _windowed_residuals(fn: SmoothFn, u, phis, p: float, w: float) -> list[float]:
+def _windowed_residuals(fn: SmoothFn, u, phis, p: float, w: float) -> np.ndarray:
     """<fn dx, phi> - <u, phi> for each phi, for u singular only at p,
     assuming fn agrees with u's density beyond distance w of p.
 
@@ -351,19 +328,22 @@ def _windowed_residuals(fn: SmoothFn, u, phis, p: float, w: float) -> list[float
     reproduces a constant identically, so the residual integrand is
     supported in the window and nowhere else.
     """
-    spans = [(max(phi.support.lo, p - w), min(phi.support.hi, p + w)) for phi in phis]
-    cuts = (p, *(b for t in u.densities for b in t.fn.breaks))
 
-    def g(xs):
+    def jet_all(xs, m):
         d = np.zeros(xs.shape)
         for t in u.densities:
             d += t.coeff * t.fn.jet(xs, 0)
-        return fn.jet(xs, 0) - d
+        return (fn.jet(xs, 0) - d)[None]
 
-    got = _pair_rows(g, phis, spans, [cuts] * len(phis), 1e-9, 1e-13)
-    base = [sum(t.coeff * (-1.0) ** t.order * phi.jet(t.point, t.order) for t in u.deltas)
-            for phi in phis]
-    return [-b if hi <= lo else v - b for (lo, hi), v, b in zip(spans, got, base)]
+    g = SmoothFn(u.domain, jet_all, support=CompactInterval(p - w, p + w), jet_cap=0,
+                 breaks=(p, *(b for t in u.densities for b in t.fn.breaks)))
+    got = pair(regular(g), phis, rel_tol=1e-9, abs_tol=1e-13).value
+    if not u.deltas:
+        return got
+    base = pair(Distribution(u.domain, u.deltas), phis).value
+    # an empty window reads -<u, phi>, a zero of the other sign than 0.0 - <u, phi>
+    empty = [min(phi.support.hi, p + w) <= max(phi.support.lo, p - w) for phi in phis]
+    return np.where(empty, -base, got - base)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +421,9 @@ class AssociationReport:
 
 
 ASSOC_FLOOR_REL = 1e-9
+# pairing tolerances of association (and of the CLI demo's pairing)
+ASSOC_REL_TOL = 1e-10
+ASSOC_ABS_TOL = 1e-13
 
 
 def associated(A: BasicElement, B: BasicElement | None = None, *,
@@ -463,7 +446,8 @@ def associated(A: BasicElement, B: BasicElement | None = None, *,
     seq = seq if seq is not None else default_family(R.domain, 3)
     battery = battery if battery is not None else default_test_battery(R.domain)
     hints = {k: _hints_at(R, seq, k) for k in k_grid}
-    vals = [_pairing(eval_basic(R, seq.at(k)), battery, hints[k]) for k in k_grid]
+    vals = [pair(regular(eval_basic(R, seq.at(k))), battery, points=hints[k],
+                 rel_tol=ASSOC_REL_TOL, abs_tol=ASSOC_ABS_TOL).value for k in k_grid]
     # the cancellation noise of a difference scales with its summands, so
     # the floor is calibrated against them individually
     parts = _summands(A) + (_summands(B) if B is not None else [])

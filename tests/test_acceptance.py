@@ -175,7 +175,7 @@ class TestStepTimesPointmass:
         battery = _battery((0.0, 0.8), (0.2, 0.9), (-0.3, 1.0),
                            (0.1, 0.6), (0.0, 0.5))
         for phi in battery:
-            got = pair(u, phi).value
+            got = pair(u, [phi]).value[0]
             assert got == pytest.approx(phi.fn.jet(0.0, 0) / 2, abs=1e-3)
 
 

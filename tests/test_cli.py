@@ -215,6 +215,12 @@ class TestExitCodes:
         assert code == 1
         assert "associated: False" in capsys.readouterr().out
 
+    def test_associate_across_domains_is_usage_error(self, quick_cfg, capsys):
+        code = main(["--config", quick_cfg, "associate", "iota(delta(0))",
+                     "restrict[-1,1](iota(delta(0)))"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: the right operand lives on")
+
     def test_lie_check_on_point_mass(self, quick_cfg, capsys):
         code = main(["--config", quick_cfg, "lie-check", "iota(delta(0))"])
         assert code == 0
@@ -254,6 +260,11 @@ class TestExport:
         # 6 residual experiments + 2 sweeps, 2 rates each
         assert len(lines) == 1 + 8 * 2
         assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_unwritable_out_is_usage_error(self, quick_cfg, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["--config", quick_cfg, "export", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
 
 
 def test_console_script_runs(quick_cfg):

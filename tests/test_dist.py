@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gfkernel import smooth
 from gfkernel.dist import (
+    PAIR_ABS_TOL,
+    PAIR_REL_TOL,
+    DeltaTerm,
+    DensityTerm,
+    Distribution,
     default_test_battery,
     delta,
     heaviside,
@@ -20,10 +26,11 @@ from gfkernel.dist import (
     scale_dist,
     support_dist,
 )
-from gfkernel.errors import UnboundedSupport
+from gfkernel.errors import NoConvergence, UnboundedSupport
 from gfkernel.smooth import Domain, bump, constant_field, integrate, polynomial, sin_fn
 from gfkernel.smooth import TestFn as CompactTestFn
 from gfkernel.smooth import VectorField
+from tests.quadref import scalar_integrate
 
 
 DOM = Domain.interval(-2.0, 2.0)
@@ -36,38 +43,91 @@ def _phi(center=0.0, radius=0.8):
 class TestPairings:
     def test_delta_pairs_to_point_value(self):
         phi = _phi()
-        got = pair(delta(0.3, domain=DOM), phi)
-        assert got.value == pytest.approx(phi.jet(0.3, 0), abs=1e-14)
+        got = pair(delta(0.3, domain=DOM), [phi]).value[0]
+        assert got == pytest.approx(phi.jet(0.3, 0), abs=1e-14)
 
     def test_derivative_delta_alternates_sign(self):
         phi = _phi()
-        got = pair(delta(0.1, order=1, domain=DOM), phi)
-        assert got.value == pytest.approx(-phi.jet(0.1, 1), abs=1e-14)
-        got2 = pair(delta(0.1, order=2, domain=DOM), phi)
-        assert got2.value == pytest.approx(phi.jet(0.1, 2), abs=1e-13)
+        got = pair(delta(0.1, order=1, domain=DOM), [phi]).value[0]
+        assert got == pytest.approx(-phi.jet(0.1, 1), abs=1e-14)
+        got2 = pair(delta(0.1, order=2, domain=DOM), [phi]).value[0]
+        assert got2 == pytest.approx(phi.jet(0.1, 2), abs=1e-13)
 
     def test_step_pairs_to_right_tail_integral(self):
         phi = _phi()
-        got = pair(heaviside(DOM), phi)
+        got = pair(heaviside(DOM), [phi]).value[0]
         want = integrate(lambda x: phi.jet(x, 0), (0.0, 0.8),
                          rel_tol=1e-12, abs_tol=1e-14).value
-        assert got.value == pytest.approx(want, abs=1e-11)
+        assert got == pytest.approx(want, abs=1e-11)
 
     def test_density_pairing_matches_direct_quadrature(self):
         phi = _phi(0.2, 0.5)
-        got = pair(regular(sin_fn(), domain=DOM), phi)
+        got = pair(regular(sin_fn(), domain=DOM), [phi]).value[0]
         want = integrate(lambda x: np.sin(x) * phi.jet(x, 0), (-0.3, 0.7),
                          rel_tol=1e-12, abs_tol=1e-14).value
-        assert got.value == pytest.approx(want, abs=1e-11)
+        assert got == pytest.approx(want, abs=1e-11)
 
     @given(st.floats(-0.5, 0.5), st.floats(-2.0, 2.0))
     def test_pairing_is_linear(self, a, c):
         phi = _phi()
         u = delta(a, domain=DOM)
         v = regular(sin_fn(), domain=DOM)
-        lhs = pair(u + c * v, phi).value
-        rhs = pair(u, phi).value + c * pair(v, phi).value
+        lhs = pair(u + c * v, [phi]).value[0]
+        rhs = pair(u, [phi]).value[0] + c * pair(v, [phi]).value[0]
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+class TestBatteryPairing:
+    """``pair`` takes a battery: each entry keeps the floats of its own
+    point-mass jets and, per density, its own scalar integral."""
+
+    @given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.integers(0, 2), st.floats(-2.0, 2.0)),
+                    max_size=3),
+           st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
+           st.floats(-1.0, 1.0), st.floats(0.1, 0.8), st.floats(-2.0, 2.0),
+           st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
+           st.lists(st.floats(-2.0, 2.0), max_size=4), st.integers(1, 12))
+    def test_entries_equal_jets_plus_scalar_integrals(self, masses, jump, c_step, center,
+                                                      radius, c_bump, picks, points, budget):
+        step = heaviside(DOM, jump_at=jump).densities[0].fn
+        u = Distribution(DOM, tuple(DeltaTerm(p, o, c) for p, o, c in masses),
+                         (DensityTerm(step, c_step),
+                          DensityTerm(bump(center, radius, DOM) * sin_fn(), c_bump)))
+        battery = default_test_battery(DOM)
+        phis = [battery[i] for i in picks]
+
+        def reference(phi):
+            value = 0.0
+            for t in u.deltas:
+                value += t.coeff * (-1.0) ** t.order * phi.jet(t.point, t.order)
+            for t in u.densities:
+                lo, hi = phi.support.lo, phi.support.hi
+                if t.fn.support is not None:
+                    lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
+                row = scalar_integrate(lambda x: t.fn.jet(x, 0) * phi.jet(x, 0), (lo, hi),
+                                       rel_tol=PAIR_REL_TOL, abs_tol=PAIR_ABS_TOL,
+                                       points=(*t.fn.breaks, *phi.fn.breaks, *points))
+                value += t.coeff * row.value
+            return value
+
+        got = pair(u, phis, points=points).value.tolist()
+        want = [reference(phi) for phi in phis]
+        assert got == want
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smooth, "MAX_PANELS", budget)
+            failing = []
+            for phi in phis:
+                try:
+                    reference(phi)
+                except NoConvergence:
+                    failing.append(phi)
+            try:
+                pair(u, phis, points=points)
+                raised = False
+            except NoConvergence:
+                raised = True
+        assert raised == bool(failing)
 
 
 class TestCalculus:
@@ -75,7 +135,7 @@ class TestCalculus:
         X = constant_field(1.0, DOM)
         du = lie_dist(X, heaviside(DOM))
         phi = _phi()
-        assert pair(du, phi).value == pytest.approx(phi.jet(0.0, 0), abs=1e-12)
+        assert pair(du, [phi]).value[0] == pytest.approx(phi.jet(0.0, 0), abs=1e-12)
 
     def test_derivative_of_delta_raises_order(self):
         X = constant_field(1.0, DOM)
@@ -85,14 +145,14 @@ class TestCalculus:
         assert (t.point, t.order) == (0.0, 1)
         # adjoint identity <L u, phi> = -<u, (X phi)'> for constant X
         phi = _phi()
-        assert pair(du, phi).value == pytest.approx(-phi.jet(0.0, 1), abs=1e-13)
+        assert pair(du, [phi]).value[0] == pytest.approx(-phi.jet(0.0, 1), abs=1e-13)
 
     def test_adjoint_identity_nonconstant_field(self):
         # <L_X u, phi> = -<u, X phi' + X' phi> with X = x d/dx
         X = VectorField(polynomial([0.0, 1.0], DOM))
         u = regular(sin_fn(), domain=DOM)
         phi = _phi(0.3, 0.6)
-        lhs = pair(lie_dist(X, u), phi).value
+        lhs = pair(lie_dist(X, u), [phi]).value[0]
         integrand = lambda x: np.sin(x) * (x * phi.jet(x, 1) + phi.jet(x, 0))
         rhs = -integrate(integrand, (-0.3, 0.9), rel_tol=1e-12,
                          abs_tol=1e-14).value
@@ -101,7 +161,7 @@ class TestCalculus:
     def test_scale_by_smooth_function(self):
         u = scale_dist(sin_fn(), delta(0.5, domain=DOM))
         phi = _phi()
-        assert pair(u, phi).value == pytest.approx(
+        assert pair(u, [phi]).value[0] == pytest.approx(
             math.sin(0.5) * phi.jet(0.5, 0), abs=1e-13)
 
 
@@ -195,7 +255,7 @@ class TestTransport:
         u = delta(0.2, order=1, domain=DOM) + regular(sin_fn(), domain=DOM)
         out = pushforward_dist(u, mu, mu_inv, img)
         phi = CompactTestFn(bump(1.0, 1.5, img))
-        lhs = pair(out, phi).value
+        lhs = pair(out, [phi]).value[0]
         # <mu_* u, phi> = <u, phi o mu>
         comp_support = (-0.75, 0.75)
         dens = integrate(lambda x: np.sin(x) * phi.jet(2.0 * x + 1.0, 0),

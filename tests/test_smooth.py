@@ -13,7 +13,9 @@ from gfkernel.smooth import (
     CompactInterval,
     Domain,
     DyadicPartition,
+    _product,
     bump,
+    compose,
     constant,
     constant_field,
     derivative_fn,
@@ -117,6 +119,37 @@ class TestJets:
             fd = (f.jet(x + h, m - 1) - f.jet(x - h, m - 1)) / (2 * h)
             scale = max(1.0, abs(f.jet(x, m)))
             assert abs(f.jet(x, m) - fd) / scale < 1e-6
+
+
+# leaves of random smooth chains: bounded with bounded derivatives on [-1, 1]
+_LEAVES = st.one_of(
+    st.just(sin_fn()), st.just(exp_fn()), st.just(bump(0.0, 2.0)),
+    st.just(smoothstep(-1.5, 1.5)),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4).map(polynomial))
+
+
+def _chains(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.tuples(pairs, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
+            lambda t: lin_comb(list(t[0]), [t[1], t[2]])),
+        pairs.map(lambda fg: _product(*fg)),
+        st.tuples(st.sampled_from([sin_fn(), exp_fn(), bump(0.0, 2.0)]), children).map(
+            lambda t: compose(t[0], t[1])),
+        children.map(derivative_fn))
+
+
+class TestChainJets:
+    @given(st.recursive(_LEAVES, _chains, max_leaves=4), st.floats(-1.0, 1.0))
+    def test_structural_jets_match_central_differences(self, f, x):
+        # f^(m)(x) against (f^(m-1)(x+h) - f^(m-1)(x-h)) / 2h, h = 1e-5:
+        # truncation h^2/6 |f^(m+2)| and roundoff eps |f^(m-1)| / h both
+        # sit far below 1e-6 of max(1, |f^(m)|) on these chains
+        h = 1e-5
+        for m in range(1, min(2, f.jet_cap) + 1):
+            fd = (f.jet(x + h, m - 1) - f.jet(x - h, m - 1)) / (2 * h)
+            got = f.jet(x, m)
+            assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
 
 
 class TestCutoffs:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gfkernel import smooth
 from gfkernel.basic import (
     affine_diffeo, as_generic, eval_basic, iota, lie_hat, lie_tilde, pushforward, sigma)
-from gfkernel.dist import default_test_battery, delta, heaviside, regular
+from gfkernel.dist import default_test_battery, delta, heaviside, pair, regular
 from gfkernel.errors import NoConvergence, NonFiniteSweep, TooFewPoints
 from gfkernel.kernel import (
     DEFAULT_K_GRID, constant_witness_seq, make_mollifier, standard_sequence)
@@ -18,7 +18,9 @@ from gfkernel.smooth import CompactInterval, Domain, constant_field, polynomial,
 from gfkernel.smooth import VectorField
 from gfkernel.smooth import seminorm
 from gfkernel.testing import (
+    ASSOC_ABS_TOL,
     ASSOC_FLOOR_REL,
+    ASSOC_REL_TOL,
     FLOOR_REL,
     AsymptoticFit,
     ClassificationReport,
@@ -33,7 +35,7 @@ from gfkernel.testing import (
     sweep_seminorms,
     validate_test_object,
 )
-from gfkernel.testing import _hints_at, _pair_scale, _pairing, _summands
+from gfkernel.testing import _hints_at, _pair_scale, _summands
 from tests.conftest import SHORT_KS
 from tests.quadref import scalar_integrate
 
@@ -297,6 +299,12 @@ def _lie_pair(R):
     return lie_tilde(X1, R), lie_hat(X1, R)
 
 
+def _assoc_pair(fn, phis, hints):
+    """The pairings ``associated`` sweeps: <fn dx, phi> at its tolerances."""
+    return pair(regular(fn), phis, points=hints, rel_tol=ASSOC_REL_TOL,
+                abs_tol=ASSOC_ABS_TOL).value.tolist()
+
+
 class TestBatchedPairing:
     """``associated`` pairs every battery row of a rate in one quadrature;
     each row must keep the floats of its own scalar integral."""
@@ -313,15 +321,17 @@ class TestBatchedPairing:
         fn = eval_basic(R, q3_seq.at(k))
         battery = default_test_battery(DOM)
         phis = [battery[i] for i in picks]
-        edges = () if fn.support is None else (fn.support.lo, fn.support.hi)
 
         def reference(phi):
-            return scalar_integrate(lambda x: fn.jet(x, 0) * phi.jet(x, 0),
-                                    (phi.support.lo, phi.support.hi),
+            # the span is supp phi cut down to fn's support
+            lo, hi = phi.support.lo, phi.support.hi
+            if fn.support is not None:
+                lo, hi = max(lo, fn.support.lo), min(hi, fn.support.hi)
+            return scalar_integrate(lambda x: fn.jet(x, 0) * phi.jet(x, 0), (lo, hi),
                                     rel_tol=1e-10, abs_tol=1e-13,
-                                    points=(*phi.fn.breaks, *hints, *edges))
+                                    points=(*fn.breaks, *phi.fn.breaks, *hints))
 
-        got = _pairing(fn, phis, hints)
+        got = _assoc_pair(fn, phis, hints)
         want = [reference(phi).value for phi in phis]
         assert got == want
         assert np.signbit(got).tolist() == np.signbit(want).tolist()
@@ -334,7 +344,7 @@ class TestBatchedPairing:
                 except NoConvergence:
                     failing.append(phi)
             try:
-                _pairing(fn, phis, hints)
+                _assoc_pair(fn, phis, hints)
                 raised = False
             except NoConvergence:
                 raised = True
@@ -357,7 +367,7 @@ class TestBatchedPairing:
             vals, scale = [], 0.0
             for k in DEFAULT_K_GRID:
                 hints = _hints_at(R, seq, k)
-                vals += _pairing(eval_basic(R, seq.at(k)), [phi], hints)
+                vals += _assoc_pair(eval_basic(R, seq.at(k)), [phi], hints)
                 scale = max(scale, sum(_pair_scale([eval_basic(P, seq.at(k))], [phi], hints)[0]
                                        for P in parts))
             assert rep.sweeps[idx].fit.values == fit_order(vals).values
