@@ -42,6 +42,7 @@ from .smooth import (
     SmoothFn,
     TestFn,
     VectorField,
+    _leibniz,
     _product,
     bump,
     compose,
@@ -382,28 +383,41 @@ def eval_basic(R: BasicElement, ker: Kernel) -> SmoothFn:
             R = restrict_basic(R, ker.domain)
         else:
             raise DomainMismatch("kernel domain must sit inside the element's")
-    return d_eval(R, ker, ())
+    return d_eval(R, ker, (), _memo={})
 
 
-def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
+def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...], *,
+           _memo: dict | None = None) -> SmoothFn:
     """The n-th kernel-direction differential of R at ker; n = 0 evaluates.
 
     Multilinear and symmetric in ``dirs``; computed from the structure of
     R, so embeddings differentiate exactly (iota is linear, sigma is
     constant) and only GenericElement falls back to finite differences.
+    Within one call, equal iota leaves at one kernel share one pairing.
     """
+    memo = {} if _memo is None else _memo
+
+    def sub(a, k, ds):
+        return d_eval(a, k, ds, _memo=memo)
+
     n = len(dirs)
     if isinstance(R, Iota):
         if n < 2:
-            return apply_kernel(dirs[0] if n else ker, R.u)
+            key = (R.u, dirs[0] if n else ker)
+            if key not in memo:
+                memo[key] = apply_kernel(key[1], R.u)
+            return memo[key]
         return constant(0.0, ker.domain)
     if isinstance(R, Sigma):
         return R.f if n == 0 else constant(0.0, ker.domain)
     if isinstance(R, Sum):
-        return lin_comb([d_eval(p, ker, dirs) for p in R.parts], [1.0] * len(R.parts))
+        return lin_comb([sub(p, ker, dirs) for p in R.parts], [1.0] * len(R.parts))
     if isinstance(R, Product):
         if n == 0:
-            return _product(*(d_eval(p, ker, ()) for p in R.parts))
+            return _product(*(sub(p, ker, ()) for p in R.parts))
+        if n == 1:
+            return _product_rule([sub(p, ker, ()) for p in R.parts],
+                                 [sub(p, ker, dirs) for p in R.parts])
         # (all parts but the last) x (the last), by the binary product rule
         a = R.parts[0] if len(R.parts) == 2 else Product(R.parts[:-1])
         idx = range(n)
@@ -411,31 +425,58 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...]) -> SmoothFn:
         for r in range(n + 1):
             for S in itertools.combinations(idx, r):
                 Sc = tuple(i for i in idx if i not in S)
-                parts.append(d_eval(a, ker, tuple(dirs[i] for i in S))
-                             * d_eval(R.parts[-1], ker, tuple(dirs[i] for i in Sc)))
+                parts.append(sub(a, ker, tuple(dirs[i] for i in S))
+                             * sub(R.parts[-1], ker, tuple(dirs[i] for i in Sc)))
         return lin_comb(parts, [1.0] * len(parts))
     if isinstance(R, SmoothScale):
-        return _product(*R.fs, d_eval(R.a, ker, dirs), right=True)
+        return _product(*R.fs, sub(R.a, ker, dirs), right=True)
     if isinstance(R, LieHat):
         X = R.X
-        moved = d_eval(R.a, ker, (LieKernel(X, ker),) + dirs)
+        moved = sub(R.a, ker, (LieKernel(X, ker),) + dirs)
         cross = []
         for i in range(n):
             repl = dirs[:i] + (LieKernel(X, dirs[i]),) + dirs[i + 1:]
-            cross.append(d_eval(R.a, ker, repl))
-        ambient = lie_smooth(X, d_eval(R.a, ker, dirs))
+            cross.append(sub(R.a, ker, repl))
+        ambient = lie_smooth(X, sub(R.a, ker, dirs))
         return lin_comb([ambient, moved, *cross], [1.0] + [-1.0] * (n + 1))
     if isinstance(R, LieTilde):
-        return lie_smooth(R.X, d_eval(R.a, ker, dirs))
+        return lie_smooth(R.X, sub(R.a, ker, dirs))
     if isinstance(R, Pushforward):
         pulled = PullbackKernel(ker, R.mu.fwd, R.mu.inv, R.a.domain)
         pdirs = tuple(PullbackKernel(d, R.mu.fwd, R.mu.inv, R.a.domain)
                       for d in dirs)
-        up = d_eval(R.a, pulled, pdirs)
+        up = sub(R.a, pulled, pdirs)
         return compose(up, R.mu.inv)
     if isinstance(R, GenericElement):
         return R.evaluator(ker) if n == 0 else _fd_differential(R, ker, dirs)
     raise TypeError(f"unknown element {type(R).__name__}")
+
+
+def _product_rule(fs: list[SmoothFn], dfs: list[SmoothFn]) -> SmoothFn:
+    """One kernel-direction differential of f_1 f_2 ... f_N from each
+    factor and its differential: D_i = P_{i-1} df_i + D_{i-1} f_i, with
+    P_i = f_1 ... f_i, summed as :func:`lin_comb` sums.
+
+    The jets and attributes are those of the binary rule applied to
+    (all factors but the last) x (the last), bit for bit, but the
+    recurrence runs in one loop, so a chain of any length evaluates.
+    """
+    P, D = fs[0], dfs[0]
+    for f, df in zip(fs[1:], dfs[1:]):  # the binary rule's attributes
+        P, D = P * f, lin_comb([P * df, D * f], [1.0, 1.0])
+
+    def jet_all(x, m):
+        P, D = fs[0]._masked_all(x, m), dfs[0]._masked_all(x, m)
+        for f, df in zip(fs[1:], dfs[1:]):
+            F = f._masked_all(x, m)
+            out = np.zeros((m + 1, x.size))
+            out += _leibniz(P, df._masked_all(x, m))
+            out += _leibniz(D, F)
+            P, D = _leibniz(P, F), out
+        return D
+
+    return SmoothFn(D.domain, jet_all, support=D.support, jet_cap=D.jet_cap,
+                    const_value=D.const_value, breaks=D.breaks)
 
 
 def _fd_differential(R: GenericElement, ker: Kernel,

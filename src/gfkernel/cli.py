@@ -40,11 +40,11 @@ from .testing import (
     ASSOC_ABS_TOL,
     ASSOC_REL_TOL,
     associated,
+    classify,
     default_family,
     default_region,
     element_family,
     embedding_residual_sweep,
-    is_moderate,
     is_negligible,
     sweep_seminorms,
     validate_test_object,
@@ -78,7 +78,8 @@ class _Parser:
     Numbers must be finite, points and restriction intervals must lie in
     the domain, operands must share one, and nesting is capped at
     ``MAX_DEPTH`` levels, so bad input fails here with a position rather
-    than later in the numerics.
+    than later in the numerics.  Repeated ``H`` and ``fn:NAME`` leaves
+    are one distribution object, so an evaluation pairs each once.
     """
 
     MAX_DEPTH = 100
@@ -88,6 +89,7 @@ class _Parser:
         self.pos = 0
         self.domain = domain
         self.depth = 0
+        self.dists: dict = {}  # H and fn:NAME -> the one object of this expression
 
     # scanning ------------------------------------------------------------
 
@@ -251,10 +253,11 @@ class _Parser:
             if m != int(m) or m < 0:
                 raise ParseError("derivative order must be a whole number", start)
             return delta(a, order=int(m), domain=self.domain)
-        if word == "H":
-            return heaviside(self.domain)
-        if word.startswith("fn:"):
-            return regular(self._named(word, start), domain=self.domain)
+        if word == "H" or word.startswith("fn:"):
+            if word not in self.dists:
+                self.dists[word] = (heaviside(self.domain) if word == "H" else
+                                    regular(self._named(word, start), domain=self.domain))
+            return self.dists[word]
         raise ParseError(f"unknown distribution '{word}'", start)
 
     def _point(self) -> float:
@@ -425,8 +428,7 @@ def cmd_validate(args) -> int:
 def cmd_classify(args) -> int:
     cfg = _context(args)
     R = parse_expr(args.expr, cfg["domain"])
-    mod = is_moderate(R, K=cfg["region"], k_grid=cfg["ks"])
-    neg = is_negligible(R, K=cfg["region"], k_grid=cfg["ks"])
+    mod, neg = classify(R, K=cfg["region"], k_grid=cfg["ks"])
     out = sys.stdout
     print(f"moderate: {mod.verdict}", file=out)
     for m, sv in sorted(mod.sweeps.items()):
@@ -499,6 +501,19 @@ def cmd_lie_check(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = _context(args)
+    if args.out == "-":
+        sys.stdout.write(_export_csv(cfg))
+        return 0
+    # opened before the sweeps, so an unwritable path fails at once
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(_export_csv(cfg))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc}") from None
+    return 0
+
+
+def _export_csv(cfg: dict) -> str:
     dom, ks = cfg["domain"], cfg["ks"]
     K = cfg["region"] or default_region(dom)
     c = 0.5 * (K.lo + K.hi)
@@ -527,16 +542,7 @@ def cmd_export(args) -> int:
     lines = ["experiment,k,seminorm,value,slope,verdict"]
     for exp, k, m, v, slope, ok in rows:
         lines.append(f"{exp},{k},{m},{_fmt(v)},{_fmt(slope)},{str(ok).lower()}")
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from None
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

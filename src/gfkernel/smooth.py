@@ -720,33 +720,34 @@ def seminorm(f: SmoothFn, K: CompactInterval, m: int | tuple[int, ...], *,
     estimate never decreases with zooming.
 
     For a tuple of orders m, a tuple of each order's float, bit for bit:
-    one grid pass at the top order serves all, each zooms on its own.
+    the grid pass and each zoom pass make one ``f.jets`` call at the top
+    order for every order, each zooming on its own centre; lower orders
+    come out of a top-order call unchanged.
     """
     if not f.domain.contains_interval(K.lo, K.hi, strict=True):
         raise OutOfDomain(f"compact [{K.lo}, {K.hi}] not inside domain")
     orders = (m,) if np.ndim(m) == 0 else tuple(m)
     if min(orders) < 0:
         raise ValueError("derivative order must be >= 0")
+    top = max(orders)
     xs = np.linspace(K.lo, K.hi, grid)
     mids = 0.5 * (xs[:-1] + xs[1:])
     pts = np.concatenate([xs, mids])
-    grid_vals = np.abs(f.jets(pts, max(orders)))
-    out = []
-    for o in orders:
-        vals = grid_vals[: o + 1]
-        best = float(vals.max())
-        x0 = float(pts[vals.max(axis=0).argmax()])
-        h = 0.5 * (K.hi - K.lo) / (grid - 1)
-        for _ in range(2):
-            zpts = np.linspace(max(K.lo, x0 - h), min(K.hi, x0 + h), 65)
-            zv = np.abs(f.jets(zpts, o))
-            zbest = float(zv.max())
-            if zbest > best:
-                best = zbest
-                x0 = float(zpts[zv.max(axis=0).argmax()])
-            h /= 32.0
-        out.append(best)
-    return out[0] if np.ndim(m) == 0 else tuple(out)
+    grid_vals = np.abs(f.jets(pts, top))
+    best = [float(grid_vals[: o + 1].max()) for o in orders]
+    x0 = [float(pts[grid_vals[: o + 1].max(axis=0).argmax()]) for o in orders]
+    h = 0.5 * (K.hi - K.lo) / (grid - 1)
+    for _ in range(2):
+        zpts = np.array([np.linspace(max(K.lo, c - h), min(K.hi, c + h), 65) for c in x0])
+        zv = np.abs(f.jets(zpts, top))
+        for i, o in enumerate(orders):
+            vals = zv[: o + 1, i]
+            zbest = float(vals.max())
+            if zbest > best[i]:
+                best[i] = zbest
+                x0[i] = float(zpts[i, vals.max(axis=0).argmax()])
+        h /= 32.0
+    return best[0] if np.ndim(m) == 0 else tuple(best)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .dist import Distribution, default_test_battery, delta, heaviside, pair, re
 from .errors import NonFiniteSweep, TooFewPoints
 from .kernel import (
     DEFAULT_K_GRID,
+    SERIES_TERMS,
     Kernel,
     KernelSequence,
     make_mollifier,
@@ -46,7 +47,6 @@ from .smooth import (
 DEFAULT_ORDERS = (0, 1, 2)
 NEGLIGIBLE_SLOPE = -0.5
 MODERATE_BOUND = 40.0
-SERIES_TERMS = 16
 FLOOR_REL = 1e-13
 CLAMP = 1e-300
 CLASSIFIER_GRID = 129  # odd, so the center of a symmetric region is sampled
@@ -377,9 +377,22 @@ def is_moderate(R: BasicElement, seq: KernelSequence | None = None, *,
     return ClassificationReport(sweeps, K)
 
 
+def classify(R: BasicElement, *, K: CompactInterval | None = None,
+             k_grid=DEFAULT_K_GRID) -> tuple[ClassificationReport, ClassificationReport]:
+    """(moderateness, negligibility) of R along the default families.
+
+    Negligibility at order 2 sweeps the grade-3 family that moderateness
+    sweeps, so it reads those fits instead of sweeping again.
+    """
+    mod = is_moderate(R, K=K, k_grid=k_grid)
+    known = {(default_family(R.domain, 3), mod.region, tuple(k_grid)):
+             {m: sv.fit for m, sv in mod.sweeps.items()}}
+    return mod, is_negligible(R, K=K, k_grid=k_grid, _known=known)
+
+
 def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
                   K: CompactInterval | None = None, k_grid=DEFAULT_K_GRID,
-                  orders=DEFAULT_ORDERS) -> ClassificationReport:
+                  orders=DEFAULT_ORDERS, _known=None) -> ClassificationReport:
     """Vanishing to all orders, at the resolution a seminorm sweep has.
 
     Each derivative order m is swept along a probe family of grade m+1,
@@ -392,7 +405,9 @@ def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
     per-order fits are kept in the report as evidence.
 
     A fixed ``seq`` overrides the graded families (useful for probing
-    along a specific object).
+    along a specific object).  ``_known`` maps (family, region, grid) of
+    sweeps already made to their {order: fit}; those fits stand in for a
+    sweep of that very family object over that region and grid.
     """
     K = K if K is not None else default_region(R.domain)
     by_family: dict = {}  # one sweep per family, over all its orders
@@ -401,7 +416,11 @@ def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
         by_family.setdefault(fam_seq, []).append(m)
     fits = {}
     for fam_seq, ms in by_family.items():
-        fits.update(sweep_seminorms(element_family(R, fam_seq), K, tuple(ms), k_grid))
+        known = (_known or {}).get((fam_seq, K, tuple(k_grid)), {})
+        if set(ms) <= known.keys():
+            fits.update({m: known[m] for m in ms})
+        else:
+            fits.update(sweep_seminorms(element_family(R, fam_seq), K, tuple(ms), k_grid))
     sweeps = {m: SweepVerdict(fits[m], NEGLIGIBLE_SLOPE, FLOOR_REL) for m in orders}
     return ClassificationReport(sweeps, K)
 

@@ -13,6 +13,7 @@ from gfkernel.basic import (
     CHAIN_POINT_LOCAL,
     Diffeo1D,
     LocalityTag,
+    Product,
     Sigma,
     affine_diffeo,
     as_generic,
@@ -30,14 +31,17 @@ from gfkernel.basic import (
 )
 from gfkernel.dist import delta, heaviside, lie_dist, pair, regular
 from gfkernel.errors import DomainMismatch
-from gfkernel.kernel import make_mollifier, restrict_seq, standard_sequence
+from gfkernel.kernel import (
+    LieKernel, apply_kernel, make_mollifier, restrict_seq, standard_sequence)
 from gfkernel.smooth import (
     Domain,
     VectorField,
+    _product,
     bump,
     constant,
     constant_field,
     exp_fn,
+    lin_comb,
     polynomial,
     sin_fn,
 )
@@ -88,6 +92,17 @@ def _binary(op, x, y):
         return a * b, fb * fa, LocalityTag(min(ta.chain, CHAIN_POINT_LOCAL), ta.linear)
     t = ta.meet(tb)
     return a * b, fa * fb, LocalityTag(t.chain, False)
+
+
+def _binary_rule(parts, ker, dirs):
+    """One kernel direction of a product by the binary rule: (all parts
+    but the last) x (the last), recursively."""
+    if len(parts) == 1:
+        return d_eval(parts[0], ker, dirs)
+    a = parts[0] if len(parts) == 2 else Product(parts[:-1])
+    return lin_comb([d_eval(a, ker, ()) * d_eval(parts[-1], ker, dirs),
+                     _binary_rule(parts[:-1], ker, dirs) * d_eval(parts[-1], ker, ())],
+                    [1.0, 1.0])
 
 
 class TestEmbeddings:
@@ -169,6 +184,57 @@ class TestAlgebra:
                 Domain.interval(-3.0, 3.0), make_mollifier(1)).at(8))
 
 
+class TestSharedOperands:
+    def _count_jets(self, monkeypatch, ker):
+        calls = []
+        real = type(ker).jets
+        monkeypatch.setattr(type(ker), "jets",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    def test_equal_leaves_pair_once(self, q3_seq, monkeypatch):
+        ker = q3_seq.at(16)
+        u, u2 = delta(0.1, domain=DOM), delta(0.1, domain=DOM)
+        assert u == u2 and u is not u2
+        xs = np.linspace(-0.2, 0.4, 61)
+        calls = self._count_jets(monkeypatch, ker)
+        want = _product(apply_kernel(ker, u), apply_kernel(ker, u2)).jets(xs, 2)
+        unshared = len(calls)
+        calls.clear()
+        got = eval_basic(iota(u) * iota(u2), ker).jets(xs, 2)
+        assert np.array_equal(got, want)
+        assert 2 * len(calls) == unshared == 2
+
+    def test_a_leaf_under_two_parents_pairs_once(self, q3_seq, monkeypatch):
+        # H*H - H: three uses of one step object, one pairing per call
+        ker = q3_seq.at(8)
+        H = heaviside(DOM, jump_at=0.25)
+        xs = np.linspace(0.0, 0.5, 9)
+        calls = self._count_jets(monkeypatch, ker)
+        eh = [apply_kernel(ker, H) for _ in range(3)]
+        want = lin_comb([_product(eh[0], eh[1]), constant(-1.0, DOM) * eh[2]],
+                        [1.0, 1.0]).jets(xs, 1)
+        unshared = len(calls)
+        calls.clear()
+        got = eval_basic(iota(H) * iota(H) - iota(H), ker).jets(xs, 1)
+        assert np.array_equal(got, want)
+        assert 3 * len(calls) == unshared
+
+    def test_mutating_returned_jets_leaves_the_next_call_alone(self, q3_seq):
+        ker = q3_seq.at(16)
+        leaf = apply_kernel(ker, delta(0.1, domain=DOM))
+        xs = np.linspace(0.05, 0.15, 11)
+        want = leaf.jets(xs, 1).copy()
+        for read in (lambda: leaf._jet_all(xs, 1), lambda: leaf.jets(xs, 1)):
+            read()[:] = 7.0
+            assert np.array_equal(read(), want)
+
+    def test_no_sharing_across_evaluations(self, q3_seq):
+        R = iota(delta(0.1, domain=DOM))
+        ker = q3_seq.at(16)
+        assert eval_basic(R, ker) is not eval_basic(R, ker)
+
+
 class TestLocalityTags:
     def test_embedding_tags(self):
         ti = tag_of(iota(delta(0.0, domain=DOM)))
@@ -242,6 +308,39 @@ class TestDifferentials:
         np.testing.assert_allclose(got.jet(xs, 0),
                                    2.0 * ea.jet(xs, 0) * eda.jet(xs, 0),
                                    rtol=0, atol=1e-10)
+
+    @settings(max_examples=40)
+    @given(st.lists(st.one_of(_leaf, st.tuples(_leaf, _leaf)), min_size=2, max_size=5))
+    def test_one_direction_product_rule_keeps_the_binary_floats(self, q3_seq, specs):
+        # the flat recurrence against the binary rule it replaces, with
+        # sigma and sum factors and disjoint supports among the parts
+        ker = q3_seq.at(16)
+        L = LieKernel(VectorField(polynomial([0.3, 1.0], DOM)), ker)
+        parts = tuple(_leaf_triple(s, ker)[0] if isinstance(s[0], str) else
+                      _leaf_triple(s[0], ker)[0] + _leaf_triple(s[1], ker)[0]
+                      for s in specs)
+        got = d_eval(Product(parts), ker, (L,))
+        want = _binary_rule(parts, ker, (L,))
+        xs = np.concatenate([np.linspace(-1.9, 1.9, 77), POINTS])
+        assert np.array_equal(got.jets(xs, 2), want.jets(xs, 2))
+        assert (got.support, got.const_value, got.breaks, got.jet_cap) == \
+            (want.support, want.const_value, want.breaks, want.jet_cap)
+
+    def test_long_lie_hat_product_evaluates(self, q3_seq):
+        # 1,500 factors: far past the recursion limit, which the binary
+        # rule's nesting reached.  On the plateau the transported kernel
+        # does not move, so lie_hat(f^N) = N f^(N-1) f'.
+        n = 1500
+        R = lie_hat(constant_field(1.0, DOM), Product((iota(delta(0.1, domain=DOM)),) * n))
+        ker = q3_seq.at(8)
+        f = eval_basic(iota(delta(0.1, domain=DOM)), ker)
+        xs = np.linspace(0.1, 0.3, 401)
+        v = f.jet(xs, 0)
+        xs = xs[(np.abs(v) > 0.8) & (np.abs(v) < 1.2)]
+        assert xs.size
+        v, dv = f.jets(xs, 1)
+        got = eval_basic(R, ker).jet(xs, 0)
+        np.testing.assert_allclose(got, n * v ** (n - 1) * dv, rtol=1e-9, atol=0)
 
     def test_generic_fallback_matches_structural(self, q3_seq, q1_seq):
         A = iota(delta(0.0, domain=DOM)) * iota(delta(0.0, domain=DOM))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfkernel import cli
 from gfkernel.basic import eval_basic, iota, sigma
 from gfkernel.cli import _COMMANDS, main, parse_config, parse_expr
 from gfkernel.dist import delta, heaviside
@@ -104,6 +105,17 @@ def test_parser_fuzz_raises_only_parse_errors(src):
         parse_expr(src, DOM)
     except ParseError:
         pass
+
+
+def test_repeated_leaves_are_one_distribution():
+    R = parse_expr("iota(H)*iota(H) - iota(H)", DOM)
+    (a, b), c = R.parts[0].parts, R.parts[1].a
+    assert a.u is b.u is c.u
+    R = parse_expr("iota(fn:sin) * iota(fn:sin) + iota(fn:x2)", DOM)
+    a, b = R.parts[0].parts
+    assert a.u is b.u and R.parts[1].u is not a.u
+    # each expression builds its own
+    assert parse_expr("iota(H)", DOM).u is not parse_expr("iota(H)", DOM).u
 
 
 class TestConfig:
@@ -265,6 +277,27 @@ class TestExport:
         target = tmp_path / "missing" / "x.csv"
         assert main(["--config", quick_cfg, "export", "--out", str(target)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+    def test_unwritable_out_fails_before_any_sweep(self, quick_cfg, tmp_path, capsys,
+                                                   monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept before opening the output")
+
+        monkeypatch.setattr(cli, "embedding_residual_sweep", sweep)
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["--config", quick_cfg, "export", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: test-fn 8 reads 1.001e-13 at k = 128 against the "
+    "constant 1e-13 floor, so the pair reads as not associated"))
+def test_ddelta_against_its_lie_derivative_is_associated(capsys):
+    # found by the association benchmark at seed 951; theory says True
+    code = main(["associate", "--", "-1.464*iota(ddelta(0.151,1))",
+                 "liehat(-1.464*iota(delta(0.151)))"])
+    assert "associated: True" in capsys.readouterr().out
+    assert code == 0
 
 
 def test_console_script_runs(quick_cfg):

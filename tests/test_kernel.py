@@ -16,10 +16,15 @@ from gfkernel.errors import (
     NoSeparation,
     NotContained,
 )
+from gfkernel import kernel as kernel_mod
 from gfkernel.kernel import (
     APPLY_ABS_TOL,
     APPLY_REL_TOL,
     DEFAULT_K_GRID,
+    MOMENT_ABS_TOL,
+    MOMENT_REL_TOL,
+    SERIES_TERMS,
+    Mollifier,
     ConstantKernel,
     GluedKernel,
     PullbackKernel,
@@ -36,6 +41,7 @@ from gfkernel.kernel import (
     restrict_seq,
     standard_sequence,
 )
+from gfkernel.kernel import _moments
 from gfkernel.smooth import (
     Domain,
     VectorField,
@@ -71,6 +77,23 @@ class TestMollifier:
                                (-m.radius, m.radius),
                                rel_tol=1e-13, abs_tol=1e-14).value
             assert m.moment(a) == pytest.approx(direct, abs=1e-11), a
+
+    def test_moment_rows_equal_one_row_calls(self, monkeypatch):
+        # one integrate call measures every exponent, each row bit for bit
+        for q in (0, 3, 5):
+            m = make_mollifier(q)
+            want = [integrate(lambda t: t ** a * m.fn.jet(t, 0), (-m.radius, m.radius),
+                              rel_tol=MOMENT_REL_TOL, abs_tol=MOMENT_ABS_TOL,
+                              points=(0.0,)).value for a in range(21)]
+            assert _moments(m.fn, range(21), m.radius) == want
+        calls = []
+        real = kernel_mod.integrate
+        monkeypatch.setattr(kernel_mod, "integrate",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        fresh = Mollifier(m.fn, m.order, m.radius)
+        got = [fresh.moment(a) for a in range(SERIES_TERMS + 3)]
+        assert len(calls) == 2  # a miss fills every even moment up to SERIES_TERMS
+        assert got == [0.0 if a % 2 else w for a, w in enumerate(want[:SERIES_TERMS + 3])]
 
     def test_supported_in_stated_radius(self):
         m = make_mollifier(2)

@@ -431,6 +431,16 @@ class TestSeminorm:
                 assert got == tuple(seminorm(f, K, m, grid=129) for m in orders)
         assert type(seminorm(sin_fn(), K, 1)) is float
 
+    def test_tuple_of_orders_makes_one_jets_call_per_pass(self, monkeypatch):
+        # the grid pass and both zoom passes each serve every order at once
+        calls = []
+        real = smooth.SmoothFn.jets
+        monkeypatch.setattr(smooth.SmoothFn, "jets",
+                            lambda f, x, m: calls.append(m) or real(f, x, m))
+        spike = bump(0.1234, 0.05) * sin_fn()
+        seminorm(spike, CompactInterval(-0.5, 0.5), (0, 1, 2), grid=129)
+        assert calls == [2, 2, 2]
+
     def test_negative_order_in_a_tuple_is_rejected(self):
         with pytest.raises(ValueError):
             seminorm(sin_fn(), CompactInterval(0.0, 1.0), (0, -1))

@@ -26,6 +26,7 @@ from gfkernel.testing import (
     ClassificationReport,
     SweepVerdict,
     associated,
+    classify,
     default_region,
     element_family,
     embedding_residual_sweep,
@@ -213,6 +214,42 @@ class TestModeration:
             assert list(fits) == [0, 1, 2]
             for m in (0, 1, 2):
                 assert fits[m] == sweep_seminorms(fam, K, m, SHORT_KS)
+
+    def test_classify_reads_the_shared_sweep_once(self, monkeypatch):
+        from gfkernel import testing
+
+        R = iota(delta(0.05, domain=DOM)) * iota(delta(0.05, 1, domain=DOM))
+        want = (is_moderate(R, k_grid=SHORT_KS), is_negligible(R, k_grid=SHORT_KS))
+        calls = []
+        real = testing.sweep_seminorms
+        monkeypatch.setattr(testing, "sweep_seminorms",
+                            lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+        got = classify(R, k_grid=SHORT_KS)
+        # q = 3 once for orders 0..2, then q = 1 and q = 2 for negligibility
+        assert calls == [(0, 1, 2), (0,), (1,)]
+        assert got == want
+
+    def test_negligibility_sweeps_unless_the_shared_sweep_matches(self, monkeypatch):
+        from gfkernel import testing
+
+        R = iota(delta(0.05, domain=DOM))
+        mod = is_moderate(R, k_grid=SHORT_KS)
+        fam = testing.default_family(DOM, 3)
+        fits = {m: sv.fit for m, sv in mod.sweeps.items()}
+        calls = []
+        real = testing.sweep_seminorms
+        monkeypatch.setattr(testing, "sweep_seminorms",
+                            lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+        other = standard_sequence(DOM, make_mollifier(3))
+        # another family object, region or grid, or a missing order
+        for key, known in [((other, mod.region, SHORT_KS), fits),
+                           ((fam, CompactInterval(-0.4, 0.4), SHORT_KS), fits),
+                           ((fam, mod.region, (8, 16)), fits),
+                           ((fam, mod.region, SHORT_KS), {0: fits[0]})]:
+            calls.clear()
+            rep = is_negligible(R, k_grid=SHORT_KS, _known={key: known})
+            assert calls == [(0,), (1,), (2,)]
+            assert rep == is_negligible(R, k_grid=SHORT_KS)
 
     def test_growth_read_off_seminorm_sweep(self, q3_seq):
         A = iota(delta(0.0, domain=DOM))
