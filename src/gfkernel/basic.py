@@ -415,19 +415,9 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...], *,
     if isinstance(R, Product):
         if n == 0:
             return _product(*(sub(p, ker, ()) for p in R.parts))
-        if n == 1:
-            return _product_rule([sub(p, ker, ()) for p in R.parts],
-                                 [sub(p, ker, dirs) for p in R.parts])
-        # (all parts but the last) x (the last), by the binary product rule
-        a = R.parts[0] if len(R.parts) == 2 else Product(R.parts[:-1])
-        idx = range(n)
-        parts = []
-        for r in range(n + 1):
-            for S in itertools.combinations(idx, r):
-                Sc = tuple(i for i in idx if i not in S)
-                parts.append(sub(a, ker, tuple(dirs[i] for i in S))
-                             * sub(R.parts[-1], ker, tuple(dirs[i] for i in Sc)))
-        return lin_comb(parts, [1.0] * len(parts))
+        subsets = [S for r in range(n + 1) for S in itertools.combinations(range(n), r)]
+        return _product_rule([{S: sub(p, ker, tuple(dirs[i] for i in S)) for S in subsets}
+                              for p in R.parts])
     if isinstance(R, SmoothScale):
         return _product(*R.fs, sub(R.a, ker, dirs), right=True)
     if isinstance(R, LieHat):
@@ -452,28 +442,38 @@ def d_eval(R: BasicElement, ker: Kernel, dirs: tuple[Kernel, ...], *,
     raise TypeError(f"unknown element {type(R).__name__}")
 
 
-def _product_rule(fs: list[SmoothFn], dfs: list[SmoothFn]) -> SmoothFn:
-    """One kernel-direction differential of f_1 f_2 ... f_N from each
-    factor and its differential: D_i = P_{i-1} df_i + D_{i-1} f_i, with
-    P_i = f_1 ... f_i, summed as :func:`lin_comb` sums.
+def _product_rule(dfs: list[dict]) -> SmoothFn:
+    """The kernel-direction differential of f_1 f_2 ... f_N in every
+    direction, from each factor's differentials ``{S: d^S f_i}``, S
+    running over the subsets of the directions in
+    ``itertools.combinations`` order.  D_i[S] is the sum of
+    D_{i-1}[T] d^(S-T) f_i over the subsets T of S in key order, summed
+    as :func:`lin_comb` sums, and D_i[()] = f_1 ... f_i.
 
     The jets and attributes are those of the binary rule applied to
     (all factors but the last) x (the last), bit for bit, but the
     recurrence runs in one loop, so a chain of any length evaluates.
     """
-    P, D = fs[0], dfs[0]
-    for f, df in zip(fs[1:], dfs[1:]):  # the binary rule's attributes
-        P, D = P * f, lin_comb([P * df, D * f], [1.0, 1.0])
+    keys = list(dfs[0])
+    splits = {S: [(T, tuple(i for i in S if i not in T)) for T in keys if set(T) <= set(S)]
+              for S in keys}
+
+    def fold(get, mul, add):
+        D = get(dfs[0])
+        for df in dfs[1:]:
+            F = get(df)
+            D = {S: add([mul(D[T], F[U]) for T, U in splits[S]]) for S in keys}
+        return D[keys[-1]]
+
+    # the binary rule's attributes; a one-term sum is its term
+    D = fold(dict, lambda a, b: a * b,
+             lambda ts: lin_comb(ts, [1.0] * len(ts)) if len(ts) > 1 else ts[0])
 
     def jet_all(x, m):
-        P, D = fs[0]._masked_all(x, m), dfs[0]._masked_all(x, m)
-        for f, df in zip(fs[1:], dfs[1:]):
-            F = f._masked_all(x, m)
-            out = np.zeros((m + 1, x.size))
-            out += _leibniz(P, df._masked_all(x, m))
-            out += _leibniz(D, F)
-            P, D = _leibniz(P, F), out
-        return D
+        # lin_comb's order; its zero start changes no float, as _leibniz
+        # never returns -0.0
+        return fold(lambda df: {S: f._masked_all(x, m) for S, f in df.items()},
+                    _leibniz, lambda ts: sum(ts[1:], ts[0]))
 
     return SmoothFn(D.domain, jet_all, support=D.support, jet_cap=D.jet_cap,
                     const_value=D.const_value, breaks=D.breaks)

@@ -830,8 +830,9 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
     every unsettled row; the result holds per-row arrays.
 
     Each round splits every unsettled row's panel with the largest error
-    estimate (ties: the leftmost) and sums each row's panels left to
-    right, so a row's floats are those of its own one-integral call.  The
+    estimate (ties: the leftmost) and sums each row's panels in arrival
+    order (the initial cuts left to right, then each split's halves), so
+    a row's floats are those of its own one-integral call.  The
     error is the estimate the value was accepted with.  Tolerances below
     the roundoff of summing |f| are unreachable for a cancelling
     integrand; acceptance therefore includes a noise floor proportional
@@ -855,36 +856,31 @@ def integrate(fn, interval, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                              f"shape {(ys.size,) if one else ys.shape}, got {out.shape}")
         return out.reshape(ys.shape)
 
-    # panels (lo, hi, value, error, mass) of unsettled rows, grouped by
-    # row, a split panel's halves at the end of its row
+    # panels (lo, hi, value, error, mass) of unsettled rows in arrival
+    # order: the initial cuts left to right, then each split's halves
     prow, pan = nrow[:0], np.empty((0, 5))
     while nrow.size:
         sums = _gk_panel(ev, nab[:, 0], nab[:, 1])
-        order = np.argsort(np.concatenate([prow, nrow]), kind="stable")
-        prow = np.concatenate([prow, nrow])[order]
-        pan = np.concatenate([pan, np.column_stack((nab,) + sums)])[order]
-        start = np.flatnonzero(np.r_[True, prow[1:] != prow[:-1]])
-        count = np.diff(np.r_[start, prow.size])
-        group = np.repeat(np.arange(start.size), count)
-        # left to right from a zero start; np.sum is pairwise
-        pad = np.zeros((count.max() + 1, start.size, 3))
-        pad[np.arange(prow.size) - start[group] + 1, group] = pan[:, 2:]
-        total, toterr, mass = np.add.accumulate(pad, axis=0)[-1].T
-        done = _accepts(total, toterr, mass, rel_tol, abs_tol)
-        value[prow[start[done]]] = total[done]
-        error[prow[start[done]]] = toterr[done]
+        prow = np.concatenate([prow, nrow])
+        pan = np.concatenate([pan, np.column_stack((nab,) + sums)])
+        # each row's panels in order from a zero start; np.sum is pairwise
+        count = np.bincount(prow, minlength=value.size)
+        total, toterr, mass = (np.bincount(prow, pan[:, j], value.size) for j in (2, 3, 4))
+        done = (count > 0) & _accepts(total, toterr, mass, rel_tol, abs_tol)
+        value[done], error[done] = total[done], toterr[done]
         spent = ~done & (count >= MAX_PANELS)
         if spent.any():
             i = int(np.argmax(spent))
             raise NoConvergence(f"quadrature budget ({MAX_PANELS} panels) exhausted",
                                 float(total[i]), float(toterr[i]))
         # worst panel of each unsettled row: largest error, then leftmost
+        live = np.flatnonzero(~done & (count > 0))
         by = np.lexsort((pan[:, 0], -pan[:, 3], prow))
-        worst = by[np.r_[True, prow[by][1:] != prow[by][:-1]]][~done]
-        keep = ~done[group]
+        worst = by[np.searchsorted(prow[by], live)]
+        keep = ~done[prow]
         keep[worst] = False
         a, b = pan[worst, 0], pan[worst, 1]
-        nrow = np.repeat(prow[worst], 2)
+        nrow = np.repeat(live, 2)
         nab = np.column_stack([a, 0.5 * (a + b), 0.5 * (a + b), b]).reshape(-1, 2)
         prow, pan = prow[keep], pan[keep]
     return QuadResult(float(value[0]), float(error[0])) if one else QuadResult(value, error)

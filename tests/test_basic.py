@@ -1,10 +1,11 @@
 """Kernel-indexed elements: embeddings, algebra, derivatives, transport."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfkernel.basic import (
@@ -95,14 +96,19 @@ def _binary(op, x, y):
 
 
 def _binary_rule(parts, ker, dirs):
-    """One kernel direction of a product by the binary rule: (all parts
-    but the last) x (the last), recursively."""
-    if len(parts) == 1:
-        return d_eval(parts[0], ker, dirs)
-    a = parts[0] if len(parts) == 2 else Product(parts[:-1])
-    return lin_comb([d_eval(a, ker, ()) * d_eval(parts[-1], ker, dirs),
-                     _binary_rule(parts[:-1], ker, dirs) * d_eval(parts[-1], ker, ())],
-                    [1.0, 1.0])
+    """Kernel-direction differentials of a product by the binary rule:
+    (all parts but the last) x (the last), recursively, one term per
+    subset of the directions that goes to the first factor."""
+    if len(parts) == 1 or not dirs:
+        return d_eval(parts[0] if len(parts) == 1 else Product(parts), ker, dirs)
+    idx = range(len(dirs))
+    terms = []
+    for r in range(len(dirs) + 1):
+        for S in itertools.combinations(idx, r):
+            Sc = tuple(i for i in idx if i not in S)
+            terms.append(_binary_rule(parts[:-1], ker, tuple(dirs[i] for i in S))
+                         * d_eval(parts[-1], ker, tuple(dirs[i] for i in Sc)))
+    return lin_comb(terms, [1.0] * len(terms))
 
 
 class TestEmbeddings:
@@ -310,17 +316,21 @@ class TestDifferentials:
                                    rtol=0, atol=1e-10)
 
     @settings(max_examples=40)
-    @given(st.lists(st.one_of(_leaf, st.tuples(_leaf, _leaf)), min_size=2, max_size=5))
-    def test_one_direction_product_rule_keeps_the_binary_floats(self, q3_seq, specs):
-        # the flat recurrence against the binary rule it replaces, with
-        # sigma and sum factors and disjoint supports among the parts
+    @given(st.lists(st.one_of(_leaf, st.tuples(_leaf, _leaf)), min_size=2, max_size=5),
+           st.integers(1, 3))
+    @example([("iota", -0.1), ("iota", 0.0), ("iota", -0.1)], 2)  # three live terms
+    def test_one_direction_product_rule_keeps_the_binary_floats(self, q3_seq, specs, n):
+        # the flat recurrence against the binary rule it replaces, in one
+        # to three directions, with sigma and sum factors and disjoint
+        # supports among the parts
         ker = q3_seq.at(16)
-        L = LieKernel(VectorField(polynomial([0.3, 1.0], DOM)), ker)
+        dirs = tuple(LieKernel(VectorField(polynomial(c, DOM)), ker)
+                     for c in ([0.3, 1.0], [-0.5, 0.2], [1.0, 0.0, -0.4])[:n])
         parts = tuple(_leaf_triple(s, ker)[0] if isinstance(s[0], str) else
                       _leaf_triple(s[0], ker)[0] + _leaf_triple(s[1], ker)[0]
                       for s in specs)
-        got = d_eval(Product(parts), ker, (L,))
-        want = _binary_rule(parts, ker, (L,))
+        got = d_eval(Product(parts), ker, dirs)
+        want = _binary_rule(parts, ker, dirs)
         xs = np.concatenate([np.linspace(-1.9, 1.9, 77), POINTS])
         assert np.array_equal(got.jets(xs, 2), want.jets(xs, 2))
         assert (got.support, got.const_value, got.breaks, got.jet_cap) == \
@@ -329,18 +339,23 @@ class TestDifferentials:
     def test_long_lie_hat_product_evaluates(self, q3_seq):
         # 1,500 factors: far past the recursion limit, which the binary
         # rule's nesting reached.  On the plateau the transported kernel
-        # does not move, so lie_hat(f^N) = N f^(N-1) f'.
+        # does not move, so lie_hat(f^N) = N f^(N-1) f', and lie_hat
+        # twice, two kernel directions, gives (f^N)''.
         n = 1500
-        R = lie_hat(constant_field(1.0, DOM), Product((iota(delta(0.1, domain=DOM)),) * n))
+        X = constant_field(1.0, DOM)
+        R = lie_hat(X, Product((iota(delta(0.1, domain=DOM)),) * n))
         ker = q3_seq.at(8)
         f = eval_basic(iota(delta(0.1, domain=DOM)), ker)
         xs = np.linspace(0.1, 0.3, 401)
         v = f.jet(xs, 0)
         xs = xs[(np.abs(v) > 0.8) & (np.abs(v) < 1.2)]
         assert xs.size
-        v, dv = f.jets(xs, 1)
+        v, dv, d2v = f.jets(xs, 2)
         got = eval_basic(R, ker).jet(xs, 0)
         np.testing.assert_allclose(got, n * v ** (n - 1) * dv, rtol=1e-9, atol=0)
+        got = eval_basic(lie_hat(X, R), ker).jet(xs, 0)
+        want = n * (n - 1) * v ** (n - 2) * dv ** 2 + n * v ** (n - 1) * d2v
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     def test_generic_fallback_matches_structural(self, q3_seq, q1_seq):
         A = iota(delta(0.0, domain=DOM)) * iota(delta(0.0, domain=DOM))

@@ -198,7 +198,8 @@ class TestExitCodes:
         "*".join(["sigma(fn:one)"] * 1500),
         "+".join(["sigma(fn:one)"] * 1500),
         "*".join(["iota(delta(1.5))"] * 1500),
-    ], ids=["sigma-product", "sigma-sum", "pointmass-product"])
+        "liehat(liehat(" + "*".join(["iota(delta(1.5))"] * 1500) + "))",
+    ], ids=["sigma-product", "sigma-sum", "pointmass-product", "nested-liehat-product"])
     def test_long_flat_chain_classifies(self, quick_cfg, capsys, expr):
         # a chain far longer than the recursion limit: only nesting recurses
         assert main(["--config", quick_cfg, "classify", expr]) == 0

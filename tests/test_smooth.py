@@ -13,6 +13,7 @@ from gfkernel.smooth import (
     CompactInterval,
     Domain,
     DyadicPartition,
+    _cuts,
     _product,
     bump,
     compose,
@@ -334,15 +335,19 @@ class TestQuadrature:
         assert got.error.tolist() == [w.error for w in want]
 
     # piecewise integrands: a smooth wave plus a |x - s|^1.5 kink per
-    # piece, with jumps at breaks that the cut points may or may not name
+    # piece, with jumps at breaks that the cut points may or may not name;
+    # further rows integrate it over spans and cuts of their own, or are
+    # zero rows (hi <= lo)
     @given(st.floats(-2.0, 0.0), st.floats(0.05, 3.0),
            st.lists(st.floats(0.0, 1.0), max_size=3),
            st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 40.0),
                               st.floats(-1.0, 1.0)), min_size=1, max_size=4),
            st.lists(st.floats(0.0, 1.0), max_size=3),
-           st.sampled_from([1e-6, 1e-9, 1e-12]), st.integers(1, 12))
+           st.sampled_from([1e-6, 1e-9, 1e-12]), st.integers(1, 12),
+           st.lists(st.tuples(st.booleans(), st.floats(-2.0, 0.0), st.floats(0.05, 3.0),
+                              st.lists(st.floats(0.0, 1.0), max_size=3)), max_size=3))
     def test_integrate_is_the_scalar_loop(self, lo, width, breaks, pieces, points,
-                                          rel_tol, budget):
+                                          rel_tol, budget, more):
         hi = lo + width
         brk = np.sort([lo + b * width for b in breaks])
         amp, freq, shift = map(np.array, zip(*pieces))
@@ -352,19 +357,43 @@ class TestQuadrature:
             return amp[i] * np.sin(freq[i] * x + shift[i]) + np.abs(x - shift[i]) ** 1.5
 
         pts = [lo + p * width for p in points]
-        opts = dict(rel_tol=rel_tol, abs_tol=1e-14, points=pts)
-        got, want = integrate(f, (lo, hi), **opts), scalar_integrate(f, (lo, hi), **opts)
-        assert (got.value, got.error) == (want.value, want.error)
-        assert np.signbit(got.value) == np.signbit(want.value)
+        spans = [(lo, hi, pts)] + [(a, a + w, [a + p * w for p in ps]) if live else (a + w, a, ())
+                                   for live, a, w, ps in more]
+        opts = dict(rel_tol=rel_tol, abs_tol=1e-14)
+
+        def rows():
+            return integrate(lambda r, ys: f(ys), [(a, b) for a, b, _ in spans],
+                             points=[p for *_, p in spans], **opts)
+
+        def outcome(quad, a, b, p):
+            try:
+                return tuple(quad(f, (a, b), points=p, **opts))
+            except NoConvergence as exc:
+                return (str(exc), exc.estimate, exc.error_bound)
+
+        want = [scalar_integrate(f, (a, b), points=p, **opts) for a, b, p in spans]
+        got = integrate(f, (lo, hi), points=pts, **opts)
+        assert (got.value, got.error) == (want[0].value, want[0].error)
+        assert np.signbit(got.value) == np.signbit(want[0].value)
+        got = rows()
+        assert got.value.tolist() == [w.value for w in want]
+        assert got.error.tolist() == [w.error for w in want]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(smooth, "MAX_PANELS", budget)
-            outcomes = []
-            for quad in (integrate, scalar_integrate):
-                try:
-                    outcomes.append(tuple(quad(f, (lo, hi), **opts)))
-                except NoConvergence as exc:
-                    outcomes.append((str(exc), exc.estimate, exc.error_bound))
-        assert outcomes[0] == outcomes[1]
+            outs = [outcome(scalar_integrate, *span) for span in spans]
+            assert outcome(integrate, *spans[0]) == outs[0]
+            # every unsettled row splits one panel a round, so the rows
+            # call raises for the first row to reach the budget (ties:
+            # the lowest index), as its own call raises
+            spent = [(max(0, budget - len(_cuts(a, b, p)) + 1), i, out)
+                     for i, ((a, b, p), out) in enumerate(zip(spans, outs))
+                     if isinstance(out[0], str)]
+            try:
+                rows()
+            except NoConvergence as exc:
+                assert spent and (str(exc), exc.estimate, exc.error_bound) == min(spent)[2]
+            else:
+                assert not spent
 
     def test_a_pole_is_not_accepted(self):
         # the middle node hits the pole: an infinite panel sum once passed
