@@ -126,53 +126,67 @@ def heaviside(domain: Domain = Domain.interval(-2.0, 2.0), jump_at: float = 0.0)
 # pairing
 
 
+def _at_rows(fns, idx, ys):
+    """fns[idx[p]] at the nodes ys[p], one jet call per distinct index."""
+    out = np.empty_like(ys)
+    for j in np.unique(idx).tolist():
+        on = idx == j
+        out[on] = fns[j].jet(ys[on], 0)
+    return out
+
+
+def _pair_rows(u: Distribution, shape, point_jet, windows, breaks, row_values, *,
+               rel_tol: float, abs_tol: float) -> QuadResult:
+    """<u, row> for rows of test functions: value and error arrays of ``shape``.
+
+    Point masses are exact jets, added first in ``u.deltas`` order:
+    ``point_jet(a, n)`` holds every row's n-th derivative at a.  Each
+    (density, row r) pair, r in C order, is one :func:`integrate` row over
+    the overlap of the density's support with ``windows[r]``, cut at both
+    breaks; ``row_values(r, ys)`` gives row r[p] at the nodes ys[p], and
+    each density is evaluated once per round over the new nodes of its rows."""
+    value, error = np.zeros(shape), np.zeros(shape)
+    for t in u.deltas:
+        value += t.coeff * (-1.0) ** t.order * point_jet(t.point, t.order)
+    if not (u.densities and value.size):
+        return QuadResult(value, error)
+    W = np.asarray(windows, dtype=float)
+    spans, cuts = [], []
+    for t in u.densities:
+        s = t.fn.support
+        spans += (W if s is None else np.column_stack(
+            [np.maximum(W[:, 0], s.lo), np.minimum(W[:, 1], s.hi)])).tolist()
+        cuts += [(*t.fn.breaks, *b) for b in breaks]
+
+    def integrand(rows, ys):
+        dens, r = np.divmod(rows, value.size)
+        return _at_rows([t.fn for t in u.densities], dens, ys) * row_values(r, ys)
+
+    res = integrate(integrand, spans, rel_tol=rel_tol, abs_tol=abs_tol, points=cuts)
+    for t, v, e in zip(u.densities, res.value.reshape((-1,) + value.shape),
+                       res.error.reshape((-1,) + value.shape)):
+        value += t.coeff * v
+        error += abs(t.coeff) * e
+    return QuadResult(value, error)
+
+
 def pair(u: Distribution, phis, *, points=(), rel_tol: float = PAIR_REL_TOL,
          abs_tol: float = PAIR_ABS_TOL) -> QuadResult:
     """<u, phi> for each compactly supported smooth phi: value and error arrays.
 
-    Point masses are exact jets, added first.  Each (density, phi) row spans
-    the overlap of their supports, cut at both breaks and at ``points``; one
-    :func:`integrate` call runs every row and evaluates each density once
-    per round over the new nodes of its rows."""
+    One :func:`_pair_rows` row per phi over its support, cut at its breaks
+    and at ``points``.  A point mass outside phi's domain reads 0."""
     fs = [phi.fn if isinstance(phi, TestFn) else phi for phi in phis]
     for f in fs:
         if f.support is None:
             raise UnboundedSupport("pairing needs a compactly supported test function")
         if not u.domain.contains_interval(f.support.lo, f.support.hi, strict=True):
             raise NotContained("test function support must sit inside the domain")
-    value, error = np.zeros(len(fs)), np.zeros(len(fs))
-    for t in u.deltas:
-        for i, f in enumerate(fs):
-            if f.domain.contains(t.point):  # else outside f's world, hence its support
-                value[i] += t.coeff * (-1.0) ** t.order * f.jet(t.point, t.order)
-    if not (u.densities and fs):
-        return QuadResult(value, error)
-    spans, cuts = [], []
-    for t in u.densities:
-        for f in fs:
-            lo, hi = f.support.lo, f.support.hi
-            if t.fn.support is not None:
-                lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
-            spans.append((lo, hi))
-            cuts.append((*t.fn.breaks, *f.breaks, *points))
-
-    def integrand(rows, ys):
-        dens, phi = np.divmod(rows, len(fs))
-        out = np.empty_like(ys)
-        for j in np.unique(dens).tolist():
-            on = dens == j
-            out[on] = u.densities[j].fn.jet(ys[on], 0)
-        for i in np.unique(phi).tolist():
-            on = phi == i
-            out[on] *= fs[i].jet(ys[on], 0)
-        return out
-
-    res = integrate(integrand, spans, rel_tol=rel_tol, abs_tol=abs_tol, points=cuts)
-    rows = zip(res.value.reshape(-1, len(fs)), res.error.reshape(-1, len(fs)))
-    for t, (v, e) in zip(u.densities, rows):
-        value += t.coeff * v
-        error += abs(t.coeff) * e
-    return QuadResult(value, error)
+    return _pair_rows(
+        u, len(fs),
+        lambda a, n: np.array([f.jet(a, n) if f.domain.contains(a) else 0.0 for f in fs]),
+        [(f.support.lo, f.support.hi) for f in fs], [(*f.breaks, *points) for f in fs],
+        lambda r, ys: _at_rows(fs, r, ys), rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dist import Distribution, _pair_rows, support_dist
 from .errors import (
     DomainMismatch,
     IncompatiblePieces,
@@ -229,11 +230,27 @@ def _per_x_window(y_window):
 # the standard construction: a scale-profile translation kernel
 
 
+_TAPER_RISE = smoothstep(0.5, 1.0)  # sigma(t): 0 up to t = 1/2, 1 from t = 1
+
+
+def _edge_taper(t: np.ndarray, c: float, m: int) -> np.ndarray:
+    """x-jets 0..m of h = sigma + (1 - sigma) t, where t = d/pad has slope
+    c in x: h = t up to t = 1/2 and exactly 1 (all derivatives +0.0) from
+    t = 1 on."""
+    s = _TAPER_RISE.jets(t, m) * c ** np.arange(m + 1)[:, None]
+    r = -s
+    r[0] += 1.0
+    h = s + r * t
+    h[1:] += np.arange(1, m + 1)[:, None] * c * r[:-1]
+    return h
+
+
 def _profile_for(domain: Domain, mbar: float):
-    """Scale profile m(x) per component: flat mbar inside, tapering to zero
-    at finite boundaries, with m(x) strictly below the boundary distance."""
+    """Scale profile m(x) per component: flat mb on a plateau, and mb h(d/pad)
+    within pad = 1.5 mb of each finite end at distance d, so m = d/1.5 next
+    to the boundary: strictly below the boundary distance, with m'/m of
+    order 1/d, which keeps the kernel's x-derivatives tame off the plateau."""
     comps = []
-    plateaus = []
     for (a, bnd) in domain.intervals:
         finite_a, finite_b = math.isfinite(a), math.isfinite(bnd)
         L = bnd - a
@@ -244,34 +261,24 @@ def _profile_for(domain: Domain, mbar: float):
         if not lo_p < hi_p:
             raise InvalidRadius(
                 f"component ({a}, {bnd}) too small for scale mbar={mb}")
-        if finite_a and finite_b:
-            shape = plateau(lo_p, hi_p, pad)
-        elif finite_a:
-            shape = smoothstep(a, a + pad)
-        elif finite_b:
-            shape = constant(1.0) - smoothstep(bnd - pad, bnd)
-        else:
-            shape = None
-        comps.append(((a, bnd), mb, shape))
-        plateaus.append((lo_p, hi_p, mb))
+        comps.append(((a, bnd), (lo_p, hi_p, mb), pad))
 
     def jet_all(x, m):
         out = np.zeros((m + 1, x.size))
-        for (a, bnd), mb, shape in comps:
-            mask = (x > a) & (x < bnd)
-            if not mask.any():
-                continue
-            if shape is None:
-                out[0, mask] = mb
-            else:
-                out[:, mask] = mb * shape.jets(x[mask], m)
+        for (a, bnd), (lo_p, hi_p, mb), pad in comps:
+            out[0, (x > a) & (x < bnd)] = mb
+            # one taper factor per finite end, evaluated off the plateau only
+            for near, end, c in (((x > a) & (x < lo_p), a, 1.0 / pad),
+                                 ((x > hi_p) & (x < bnd), bnd, -1.0 / pad)):
+                if near.any():
+                    out[:, near] = mb * _edge_taper((x[near] - end) * c, c, m)
         return out
 
     prof = SmoothFn(domain, jet_all, jet_cap=12)
     # the whole construction stands on supp phi(x,.) staying inside the
     # domain, so check m(x) < dist(x, boundary) once, on a fine grid
-    for (a, bnd), mb, shape in comps:
-        if shape is None:
+    for (a, bnd), _, _ in comps:
+        if not (math.isfinite(a) or math.isfinite(bnd)):
             continue
         lo = a if math.isfinite(a) else bnd - 8.0
         hi = bnd if math.isfinite(bnd) else a + 8.0
@@ -283,7 +290,7 @@ def _profile_for(domain: Domain, mbar: float):
         if bad.any():
             raise InvalidRadius(
                 f"scale profile exceeds boundary distance near x={xs[bad][0]:.4f}")
-    return prof, plateaus
+    return prof, [p for _, p, _ in comps]
 
 
 class ScaleKernel(Kernel):
@@ -747,47 +754,17 @@ APPLY_REL_TOL = 1e-10
 APPLY_ABS_TOL = 1e-13
 
 
-def _pair_densities(ker: Kernel, dens, x: np.ndarray, m: int) -> np.ndarray:
-    """<t.fn, d_x^i phi(x, .)> for each x, density term t and order i <= m,
-    shape (x.size, len(dens), m+1), one :func:`integrate` row each."""
-    spans, points = [], []
-    for wlo, whi in ker.y_window(x).tolist():
-        for t in dens:
-            lo, hi = wlo, whi
-            if t.fn.support is not None:
-                lo, hi = max(lo, t.fn.support.lo), min(hi, t.fn.support.hi)
-            spans += [(lo, hi)] * (m + 1)
-            points += [t.fn.breaks] * (m + 1)
-
-    def f(rows, ys):
-        # kernel rows (all orders) by (x index, first node, last node): every
-        # order and density at x that visits a panel shares one evaluation
-        # per round; a kernel row's floats do not depend on its batch
-        ix, it = np.divmod(rows // (m + 1), len(dens))
-        _, p, inv = np.unique(np.column_stack([ix, ys[:, 0], ys[:, -1]]), axis=0,
-                              return_index=True, return_inverse=True)
-        J = ker.jets(x[ix[p]], m, ys[p], 0)[:, 0]
-        g = np.empty_like(ys)
-        for j, t in enumerate(dens):
-            g[it == j] = t.fn.jet(ys[it == j], 0)
-        # ravel: return_inverse's shape for axis=0 differs across numpy 2.0.x
-        return g * J[rows % (m + 1), inv.ravel()]
-
-    vals = integrate(f, spans, rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL,
-                     points=points).value
-    return vals.reshape(x.size, len(dens), m + 1)
-
-
 def apply_kernel(ker: Kernel, u) -> SmoothFn:
     """The smooth function x -> <u, phi(x, .)> with exact delta jets.
 
-    All x are paired at once: point masses in one ``jets`` call, densities
-    through :func:`integrate`, one row per (x, density, order).  The
-    result keeps its last (x, m) and their jets, and hands out copies, so
-    an operand that one evaluation reaches twice is paired once.
+    All x are paired at once by :func:`~gfkernel.dist._pair_rows`, with
+    one row per (x, order i <= m), the row d_x^i phi(x, .): point masses
+    read one ``jets`` call, and a round of quadrature nodes makes one
+    ``jets`` call for its distinct (x, panel) pairs, shared by every order
+    and density.  The result keeps its last (x, m) and their jets, and
+    hands out copies, so an operand that one evaluation reaches twice is
+    paired once.
     """
-    from .dist import Distribution, support_dist
-
     if not isinstance(u, Distribution):
         raise TypeError("apply_kernel expects a Distribution")
     if not u.domain.is_subset(ker.domain):
@@ -796,22 +773,30 @@ def apply_kernel(ker: Kernel, u) -> SmoothFn:
     if dmax > ker.jet_cap:
         raise JetCapExceeded(f"order {dmax} exceeds jet cap {ker.jet_cap}")
     dpts = np.array(sorted({t.point for t in u.deltas}))
+    col = {a: j for j, a in enumerate(dpts.tolist())}
 
     last: list = [None, None, None]  # m, x, jets
 
     def jet_all(x, m):
         if last[0] == m and np.array_equal(last[1], x):
             return last[2].copy()
-        out = np.zeros((m + 1, x.size))
         if u.deltas:
             J = ker.jets(x, m, np.broadcast_to(dpts, (x.size, dpts.size)), dmax)
-            for t in u.deltas:
-                col = int(np.searchsorted(dpts, t.point))
-                out += t.coeff * (-1.0) ** t.order * J[:, t.order, :, col]
-        if u.densities:
-            vals = _pair_densities(ker, u.densities, x, m)
-            for j, t in enumerate(u.densities):
-                out += t.coeff * vals[:, j].T
+        windows = np.repeat(ker.y_window(x), m + 1, axis=0) if u.densities else ()
+
+        def row_values(r, ys):
+            # kernel rows by (x index, first node, last node): every order
+            # and density at x that visits a panel shares one evaluation
+            # per round; a kernel row's floats do not depend on its batch
+            ix, i = np.divmod(r, m + 1)
+            _, p, inv = np.unique(np.column_stack([ix, ys[:, 0], ys[:, -1]]), axis=0,
+                                  return_index=True, return_inverse=True)
+            # ravel: return_inverse's shape for axis=0 differs across numpy 2.0.x
+            return ker.jets(x[ix[p]], m, ys[p], 0)[:, 0][i, inv.ravel()]
+
+        out = _pair_rows(u, (x.size, m + 1), lambda a, n: J[:, n, :, col[a]].T,
+                         windows, [()] * len(windows), row_values,
+                         rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL).value.T
         last[:] = m, x.copy(), out
         return out.copy()
 

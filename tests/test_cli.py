@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -237,6 +238,16 @@ class TestExitCodes:
     def test_lie_check_on_point_mass(self, quick_cfg, capsys):
         code = main(["--config", quick_cfg, "lie-check", "iota(delta(0))"])
         assert code == 0
+
+    def test_lie_check_on_the_step_passes_off_the_plateau(self, capsys):
+        # its hardest pairing row sits at x = 1.82, off the scale plateau,
+        # where the kernel's x-derivatives grow with the profile's m'/m
+        start = time.perf_counter()
+        code = main(["lie-check", "iota(H)"])
+        seconds = time.perf_counter() - start
+        assert capsys.readouterr().out.rstrip().endswith("associated: True")
+        assert code == 0
+        assert seconds < 10.0
 
     def test_validate_subcommand(self, quick_cfg, capsys):
         code = main(["--config", quick_cfg, "validate-testobject",

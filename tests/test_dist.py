@@ -129,6 +129,12 @@ class TestBatteryPairing:
                 raised = True
         assert raised == bool(failing)
 
+    def test_point_mass_outside_a_test_functions_domain_reads_zero(self):
+        phi = CompactTestFn(bump(0.0, 0.5, Domain.interval(-1.0, 1.0)))
+        u = delta(1.5, domain=DOM) + delta(0.2, coeff=2.0, domain=DOM)
+        assert pair(delta(1.5, domain=DOM), [phi]).value.tolist() == [0.0]
+        assert pair(u, [phi]).value.tolist() == [2.0 * phi.jet(0.2, 0)]
+
 
 class TestCalculus:
     def test_derivative_of_step_is_delta(self):

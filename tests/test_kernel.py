@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfkernel import smooth
-from gfkernel.dist import delta, heaviside, regular
+from gfkernel.dist import delta, heaviside, pair, regular
 from gfkernel.errors import (
     DomainMismatch,
     JetCapExceeded,
@@ -41,10 +41,12 @@ from gfkernel.kernel import (
     restrict_seq,
     standard_sequence,
 )
-from gfkernel.kernel import _moments
+from gfkernel.kernel import _edge_taper, _moments, _profile_for
+from gfkernel.smooth import TestFn as CompactTestFn
 from gfkernel.smooth import (
     Domain,
     VectorField,
+    bump,
     constant,
     constant_field,
     integrate,
@@ -142,6 +144,38 @@ class TestStandardSequence:
         assert is_localizing(q3_seq)
         assert q3_seq.grade == 3
         assert q3_seq.radius_bound(32) < q3_seq.radius_bound(8)
+
+
+# the scale profile of four component shapes: bounded, both half-lines, two pieces
+PROFILE_DOMAINS = {
+    "bounded": DOM,
+    "right half-line": Domain.interval(0.0, math.inf),
+    "left half-line": Domain.interval(-math.inf, 1.0),
+    "two pieces": Domain(((-2.0, -0.5), (0.5, 2.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_DOMAINS))
+def test_profile_skips_the_taper_only_where_it_is_exactly_one(name):
+    dom = PROFILE_DOMAINS[name]
+    prof, plateaus = _profile_for(dom, 0.8)
+    for (a, b), (lo_p, hi_p, mb) in zip(dom.intervals, plateaus):
+        lo = lo_p if math.isfinite(lo_p) else hi_p - 4.0
+        hi = hi_p if math.isfinite(hi_p) else lo_p + 4.0
+        xs = np.linspace(lo, hi, 41)
+        skipped = prof.jets(xs, 12)
+        for end, c in ((a, 1.0 / (1.5 * mb)), (b, -1.0 / (1.5 * mb))):
+            if math.isfinite(end):
+                own = mb * _edge_taper((xs - end) * c, c, 12)
+                assert np.array_equal(own, skipped), (name, end)
+                assert np.array_equal(np.signbit(own), np.signbit(skipped)), (name, end)
+
+
+def test_profile_is_linear_in_the_boundary_distance():
+    prof, _ = _profile_for(DOM, 0.8)
+    d = np.array([1e-6, 0.01, 0.1, 0.5])  # within half the 1.2 pad of each end
+    for x in (-2.0 + d, 2.0 - d):
+        np.testing.assert_allclose(prof.jet(x, 0), d / 1.5, rtol=1e-9)
 
 
 class TestDerivedKernels:
@@ -498,6 +532,27 @@ def test_batched_pairing_equals_per_x_reference(q3_seq, name, k):
     xs = np.concatenate([np.linspace(-1.5, 1.5, 13), [0.2, 0.25, 0.251, 0.3]])
     got = apply_kernel(ker, u)._jet_all(xs, 2)
     want = _reference_pairing(ker, u, xs, 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("x", [1.75, 1.8, 1.825, 1.85, 1.9])
+def test_step_pairs_to_its_truth_off_the_plateau(q3_seq, x):
+    # phi(x, .) lies right of the jump, so the pairing is 1 near x
+    got = apply_kernel(q3_seq.at(8), PAIRING_INPUTS["H"]())._jet_all(np.array([x]), 2)
+    assert np.abs(got[:, 0] - [1.0, 0.0, 0.0]).max() < 1e-6
+
+
+@pytest.mark.parametrize("center, radius", [(0.0, 1.2), (0.3, 0.4)])
+@pytest.mark.parametrize("name", sorted(PAIRING_INPUTS))
+def test_kernel_rows_pair_like_test_functions(name, center, radius):
+    # an x-independent kernel row is a test function, and both entry
+    # points run the one pairing core
+    psi = CompactTestFn(bump(center, radius, DOM))
+    u = PAIRING_INPUTS[name]()
+    got = apply_kernel(ConstantKernel(psi, DOM), u)._jet_all(np.linspace(-1.5, 1.5, 7), 0)
+    want = np.broadcast_to(
+        pair(u, [psi], rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL).value, got.shape)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
