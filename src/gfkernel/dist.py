@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import IncompatiblePieces, NotContained, UnboundedSupport
 from .smooth import (
+    _FACT,
+    _leibniz,
+    _series_compose,
     CompactInterval,
     Domain,
     PiecewiseFn,
@@ -235,9 +238,10 @@ def lie_dist(X: VectorField, u: Distribution) -> Distribution:
     densities: list[DensityTerm] = []
     for t in u.deltas:
         n, a, c = t.order, t.point, t.coeff
+        # row[r]: the coefficient of phi^(r)(a) in (X phi)^(n+1)(a)
+        row = _leibniz(Xc.jets(np.array([a]), n + 1)[:, 0], np.eye(n + 2))[n + 1]
         for r in range(n + 2):
-            j = n - r + 1  # order of the X derivative hitting this term
-            coeff = -c * (-1.0) ** (n - r) * math.comb(n + 1, j) * Xc.jet(a, j)
+            coeff = -c * (-1.0) ** (n - r) * row[r]
             if coeff != 0.0:
                 deltas.append(DeltaTerm(a, r, coeff))
     for t in u.densities:
@@ -265,11 +269,12 @@ def scale_dist(f: SmoothFn, u: Distribution) -> Distribution:
     densities: list[DensityTerm] = []
     for t in u.deltas:
         n, a, c = t.order, t.point, t.coeff
-        fj = [f.jet(a, j) for j in range(n + 1)]
-        for j in range(n + 1):
-            coeff = c * math.comb(n, j) * (-1.0) ** j * fj[j]
+        # row[r]: the coefficient of phi^(r)(a) in (f phi)^(n)(a)
+        row = _leibniz(f.jets(np.array([a]), n)[:, 0], np.eye(n + 1))[n]
+        for r in range(n, -1, -1):
+            coeff = c * (-1.0) ** (n - r) * row[r]
             if coeff != 0.0:
-                deltas.append(DeltaTerm(a, n - j, coeff))
+                deltas.append(DeltaTerm(a, r, coeff))
     for t in u.densities:
         g = t.fn
         if isinstance(g, PiecewiseFn):
@@ -351,20 +356,13 @@ def pushforward_dist(u: Distribution, fwd: SmoothFn, inv: SmoothFn,
     deltas: list[DeltaTerm] = []
     for t in u.deltas:
         a, n, c = t.point, t.order, t.coeff
-        mj = fwd.jets(np.array([a]), max(n, 1))[:, 0]
+        mj = fwd.jets(np.array([a]), n)[:, 0]
         b = float(mj[0])
-        w = np.zeros(n + 1)
-        for i in range(1, n + 1):
-            w[i] = mj[i] / math.factorial(i)
-        P = np.zeros(n + 1)
-        P[0] = 1.0
-        for m in range(0, n + 1):
-            if m > 0:
-                P = np.convolve(P, w)[: n + 1]
-            coef = P[n]
-            if coef != 0.0:
-                alpha = ((-1.0) ** (n - m) * math.factorial(n)
-                         / math.factorial(m) * coef)
+        # Faa di Bruno: P[m] is the t^n coefficient of (mu(a + t) - b)^m
+        P = _series_compose(np.eye(n + 1), mj / _FACT[: n + 1])[n]
+        for m in range(n + 1):
+            if P[m] != 0.0:
+                alpha = (-1.0) ** (n - m) * math.factorial(n) / math.factorial(m) * P[m]
                 deltas.append(DeltaTerm(b, m, c * alpha))
 
     densities: list[DensityTerm] = []

@@ -340,8 +340,8 @@ class ScaleKernel(Kernel):
         fact = _FACT[: mx + 1, None, None]
         spow = sc
         out = np.empty((mx + 1, my + 1) + Y.shape)
+        rj = rho.jets(u[0], mx + my)
         for j in range(my + 1):
-            rj = rho.jets(u[0], mx + j)
             comp = _series_compose(rj[j: j + mx + 1] / fact, u)
             col = _series_mul(comp, np.broadcast_to(spow, comp.shape))
             out[:, j] = col * fact

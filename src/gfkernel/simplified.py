@@ -34,17 +34,13 @@ from .smooth import (
     lin_comb,
     plateau,
     restrict_view,
-    seminorm,
 )
 from .testing import (
-    CLASSIFIER_GRID,
-    FLOOR_REL,
-    MODERATE_BOUND,
-    NEGLIGIBLE_SLOPE,
-    SweepVerdict,
     default_family,
     default_region,
-    fit_order,
+    moderate_verdict,
+    negligible_verdict,
+    sweep_seminorms,
 )
 
 
@@ -134,18 +130,17 @@ def classify_seq(rep: SimplifiedRep, *, K: CompactInterval | None = None,
                  orders=(0, 1, 2)) -> SimplifiedClassification:
     """Moderate/negligible verdicts by direct seminorm fits of the family.
 
-    Same bounds as the full-model classifiers: polynomial growth within
-    ``MODERATE_BOUND``, decay steeper than ``NEGLIGIBLE_SLOPE`` at every
-    order (exact zeros and sub-floor sweeps pass).
+    One seminorm sweep of the family, judged at every order by the rules
+    of the full-model classifiers (``testing.moderate_verdict`` and
+    ``testing.negligible_verdict``).
     """
     K = K if K is not None else default_region(rep.domain)
+    fits = sweep_seminorms(rep.at, K, tuple(orders), rep.k_grid)
     growth: dict = {}
     decay: dict = {}
-    sups = [seminorm(f, K, tuple(orders), grid=CLASSIFIER_GRID) for f in rep.fns]
-    for i, m in enumerate(orders):
-        fit = fit_order([v[i] for v in sups], rep.k_grid)
-        growth[m] = SweepVerdict(fit, MODERATE_BOUND)
-        decay[m] = SweepVerdict(fit, NEGLIGIBLE_SLOPE, FLOOR_REL)
+    for m in orders:
+        growth[m] = moderate_verdict(fits[m])
+        decay[m] = negligible_verdict(fits[m])
     return SimplifiedClassification(growth, decay, K)
 
 

@@ -219,6 +219,17 @@ class SweepVerdict:
         return self.fit.decays(self.bound) or self.fit.peak < self.floor
 
 
+def moderate_verdict(fit: AsymptoticFit) -> SweepVerdict:
+    """The moderateness rule: growth no steeper than ``MODERATE_BOUND``."""
+    return SweepVerdict(fit, MODERATE_BOUND)
+
+
+def negligible_verdict(fit: AsymptoticFit) -> SweepVerdict:
+    """The negligibility rule: decay at ``NEGLIGIBLE_SLOPE`` or steeper,
+    or every value under ``FLOOR_REL``."""
+    return SweepVerdict(fit, NEGLIGIBLE_SLOPE, FLOOR_REL)
+
+
 @dataclass(frozen=True)
 class TestObjectReport:
     """Outcome of the three-part grading check for a kernel sequence."""
@@ -293,7 +304,7 @@ def validate_test_object(seq: KernelSequence, *, grade: int | None = None,
             w = ker.y_window(xs)
             J = ker.jets(xs, m, np.linspace(w[:, 0], w[:, 1], 65, axis=-1), m)
             vals.append(float(np.max(np.abs(J[tri]))))
-        growth[m] = SweepVerdict(fit_order(vals, k_grid), MODERATE_BOUND)
+        growth[m] = moderate_verdict(fit_order(vals, k_grid))
 
     weak: dict = {}
     mid = 0.5 * (K.lo + K.hi)
@@ -373,8 +384,7 @@ def is_moderate(R: BasicElement, seq: KernelSequence | None = None, *,
     seq = seq if seq is not None else default_family(R.domain, 3)
     K = K if K is not None else default_region(seq.domain)
     fits = sweep_seminorms(element_family(R, seq), K, tuple(orders), k_grid)
-    sweeps = {m: SweepVerdict(fits[m], MODERATE_BOUND) for m in orders}
-    return ClassificationReport(sweeps, K)
+    return ClassificationReport({m: moderate_verdict(fits[m]) for m in orders}, K)
 
 
 def classify(R: BasicElement, *, K: CompactInterval | None = None,
@@ -382,17 +392,17 @@ def classify(R: BasicElement, *, K: CompactInterval | None = None,
     """(moderateness, negligibility) of R along the default families.
 
     Negligibility at order 2 sweeps the grade-3 family that moderateness
-    sweeps, so it reads those fits instead of sweeping again.
+    sweeps, so it judges those fits instead of sweeping again.
     """
     mod = is_moderate(R, K=K, k_grid=k_grid)
-    known = {(default_family(R.domain, 3), mod.region, tuple(k_grid)):
-             {m: sv.fit for m, sv in mod.sweeps.items()}}
-    return mod, is_negligible(R, K=K, k_grid=k_grid, _known=known)
+    neg = is_negligible(R, K=K, k_grid=k_grid, orders=(0, 1))
+    sweeps = {**neg.sweeps, 2: negligible_verdict(mod.sweeps[2].fit)}
+    return mod, ClassificationReport(sweeps, neg.region)
 
 
 def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
                   K: CompactInterval | None = None, k_grid=DEFAULT_K_GRID,
-                  orders=DEFAULT_ORDERS, _known=None) -> ClassificationReport:
+                  orders=DEFAULT_ORDERS) -> ClassificationReport:
     """Vanishing to all orders, at the resolution a seminorm sweep has.
 
     Each derivative order m is swept along a probe family of grade m+1,
@@ -405,24 +415,18 @@ def is_negligible(R: BasicElement, seq: KernelSequence | None = None, *,
     per-order fits are kept in the report as evidence.
 
     A fixed ``seq`` overrides the graded families (useful for probing
-    along a specific object).  ``_known`` maps (family, region, grid) of
-    sweeps already made to their {order: fit}; those fits stand in for a
-    sweep of that very family object over that region and grid.
+    along a specific object).
     """
-    K = K if K is not None else default_region(R.domain)
+    if K is None:
+        K = default_region(seq.domain if seq is not None else R.domain)
     by_family: dict = {}  # one sweep per family, over all its orders
     for m in orders:
         fam_seq = seq if seq is not None else default_family(R.domain, m + 1)
         by_family.setdefault(fam_seq, []).append(m)
     fits = {}
     for fam_seq, ms in by_family.items():
-        known = (_known or {}).get((fam_seq, K, tuple(k_grid)), {})
-        if set(ms) <= known.keys():
-            fits.update({m: known[m] for m in ms})
-        else:
-            fits.update(sweep_seminorms(element_family(R, fam_seq), K, tuple(ms), k_grid))
-    sweeps = {m: SweepVerdict(fits[m], NEGLIGIBLE_SLOPE, FLOOR_REL) for m in orders}
-    return ClassificationReport(sweeps, K)
+        fits.update(sweep_seminorms(element_family(R, fam_seq), K, tuple(ms), k_grid))
+    return ClassificationReport({m: negligible_verdict(fits[m]) for m in orders}, K)
 
 
 # ---------------------------------------------------------------------------

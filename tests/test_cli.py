@@ -71,6 +71,7 @@ class TestExpressions:
         ("", "expected a factor"),
         ("1e999 * iota(delta(0))", "not finite"),
         ("iota(ddelta(0, 1e400))", "not finite"),
+        ("iota(ddelta(0, 1.5))", "whole number"),
         ("iota(delta(5))", "outside the domain"),
         ("restrict[0.5, 3](iota(delta(0)))", "leaves the domain"),
         ("(" * 1200 + "iota(delta(0))" + ")" * 1200, "nested too deeply"),

@@ -6,7 +6,8 @@ import pytest
 from gfkernel.basic import eval_basic, iota, sigma
 from gfkernel.dist import delta, regular
 from gfkernel.errors import DomainMismatch, NoSeparation
-from gfkernel.kernel import constant_witness_seq, restrict_seq
+from gfkernel.kernel import (
+    constant_witness_seq, make_mollifier, restrict_seq, standard_sequence)
 from gfkernel.simplified import (
     SimplifiedRep,
     classify_seq,
@@ -16,8 +17,8 @@ from gfkernel.simplified import (
     separation_values,
     sigma_seq,
 )
-from gfkernel.smooth import CompactInterval, Domain, sin_fn
-from gfkernel.testing import is_moderate, is_negligible
+from gfkernel.smooth import CompactInterval, Domain, plateau, sin_fn
+from gfkernel.testing import default_region, is_moderate, is_negligible
 from tests.conftest import SHORT_KS
 
 DOM = Domain.interval(-2.0, 2.0)
@@ -141,6 +142,32 @@ class TestRoundTrip:
         out = eval_basic(G, q3_seq.at(12))
         assert out.jet(0.0, 0) == 0.0
 
+    def test_section_blends_on_a_window_slope(self, q3_seq):
+        # k = 10 has diagonal mass a quarter of the way from the k = 8
+        # value to the k = 16 value: on the falling edge of the k = 8
+        # window, so the section returns that entry scaled by the window
+        rep = iota_seq(delta(0.0, domain=DOM), k_grid=SHORT_KS)
+        G = section_seq(rep)
+        s8, s16, _ = separation_values(q3_seq, SHORT_KS, K=default_region(DOM))
+        t = separation_values(q3_seq, (10,), K=default_region(DOM))[0]
+        g = s16 - s8
+        weight = plateau(s8 - 0.2 * g, s8 + 0.2 * g, 0.2 * g).jet(t, 0)
+        assert 0.0 < weight < 1.0
+        xs = np.linspace(-0.4, 0.4, 33)
+        out = eval_basic(G, q3_seq.at(10)).jet(xs, 0)
+        np.testing.assert_array_equal(out, weight * rep.at(8).jet(xs, 0))
+
+    def test_section_on_a_kernel_that_cuts_the_region(self, q3_seq):
+        # a kernel on (0, 2) measures its diagonal mass on the part of the
+        # region inside its domain, about half the full mass, which at
+        # k = 16 lands in the k = 8 window; the entry comes back on (0, 2)
+        V = Domain.interval(0.0, 2.0)
+        rep = iota_seq(delta(0.0, domain=DOM), k_grid=SHORT_KS)
+        out = eval_basic(section_seq(rep), restrict_seq(q3_seq, V).at(16))
+        assert out.domain == V
+        xs = np.linspace(0.05, 0.4, 15)
+        np.testing.assert_array_equal(out.jet(xs, 0), rep.at(8).jet(xs, 0))
+
 
 class TestClassificationAgreement:
     @pytest.mark.parametrize("label", ["pointmass", "square", "defect", "zero"])
@@ -161,3 +188,17 @@ class TestClassificationAgreement:
         seq_side = classify_seq(rep, orders=orders)
         assert seq_side.moderate == direct_mod
         assert seq_side.negligible == direct_neg
+
+    @pytest.mark.parametrize("label,negligible", [("pointmass", False), ("zero", True)])
+    def test_both_models_judge_the_region_of_the_family(self, label, negligible):
+        # the family lives on a part of the element's domain; every
+        # classifier takes its region from the family, not the element
+        seq = standard_sequence(Domain.interval(0.5, 2.0), make_mollifier(3))
+        A = iota(delta(1.2, domain=DOM))
+        R = A if label == "pointmass" else A - A
+        mod = is_moderate(R, seq, k_grid=SHORT_KS)
+        neg = is_negligible(R, seq, k_grid=SHORT_KS)
+        seq_side = classify_seq(pullback_seq(R, seq, k_grid=SHORT_KS))
+        assert mod.region == neg.region == seq_side.region
+        assert (mod.verdict, neg.verdict) == (seq_side.moderate, seq_side.negligible)
+        assert (mod.verdict, neg.verdict) == (True, negligible)

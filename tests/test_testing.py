@@ -229,28 +229,6 @@ class TestModeration:
         assert calls == [(0, 1, 2), (0,), (1,)]
         assert got == want
 
-    def test_negligibility_sweeps_unless_the_shared_sweep_matches(self, monkeypatch):
-        from gfkernel import testing
-
-        R = iota(delta(0.05, domain=DOM))
-        mod = is_moderate(R, k_grid=SHORT_KS)
-        fam = testing.default_family(DOM, 3)
-        fits = {m: sv.fit for m, sv in mod.sweeps.items()}
-        calls = []
-        real = testing.sweep_seminorms
-        monkeypatch.setattr(testing, "sweep_seminorms",
-                            lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
-        other = standard_sequence(DOM, make_mollifier(3))
-        # another family object, region or grid, or a missing order
-        for key, known in [((other, mod.region, SHORT_KS), fits),
-                           ((fam, CompactInterval(-0.4, 0.4), SHORT_KS), fits),
-                           ((fam, mod.region, (8, 16)), fits),
-                           ((fam, mod.region, SHORT_KS), {0: fits[0]})]:
-            calls.clear()
-            rep = is_negligible(R, k_grid=SHORT_KS, _known={key: known})
-            assert calls == [(0,), (1,), (2,)]
-            assert rep == is_negligible(R, k_grid=SHORT_KS)
-
     def test_growth_read_off_seminorm_sweep(self, q3_seq):
         A = iota(delta(0.0, domain=DOM))
         fam = element_family(A, q3_seq)
