@@ -132,10 +132,9 @@ def _scale(f, a: BasicElement) -> "SmoothScale":
     """f * a for a smooth f or a number, f outermost on a scaled a."""
     if not isinstance(f, SmoothFn):
         f = constant(float(f), a.domain)
-    elif f.domain != a.domain:
-        if not a.domain.is_subset(f.domain):
-            raise DomainMismatch("coefficient must cover the element's domain")
-        f = restrict_view(f, a.domain)
+    if not a.domain.is_subset(f.domain):
+        raise DomainMismatch("coefficient must cover the element's domain")
+    f = restrict_view(f, a.domain)
     if isinstance(a, SmoothScale):
         return SmoothScale((f,) + a.fs, a.a)
     return SmoothScale((f,), a)
@@ -311,9 +310,7 @@ def iota(u: Distribution) -> Iota:
 
 
 def sigma(f: SmoothFn, domain: Domain | None = None) -> Sigma:
-    if domain is not None and domain != f.domain:
-        f = restrict_view(f, domain)
-    return Sigma(f)
+    return Sigma(restrict_view(f, f.domain if domain is None else domain))
 
 
 def lie_hat(X: VectorField, a: BasicElement) -> LieHat:

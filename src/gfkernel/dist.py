@@ -130,9 +130,10 @@ def heaviside(domain: Domain = Domain.interval(-2.0, 2.0), jump_at: float = 0.0)
 
 
 def _at_rows(fns, idx, ys):
-    """fns[idx[p]] at the nodes ys[p], one jet call per distinct index."""
+    """fns[idx[p]] at the nodes ys[p], one jet call per distinct index in
+    ascending order (not np.unique, which imports numpy.ma on first use)."""
     out = np.empty_like(ys)
-    for j in np.unique(idx).tolist():
+    for j in sorted(set(idx.tolist())):
         on = idx == j
         out[on] = fns[j].jet(ys[on], 0)
     return out
@@ -226,41 +227,32 @@ def mollify(u: Distribution, rho: SmoothFn, k: float) -> SmoothFn:
 # Lie derivative and smooth module structure
 
 
-def lie_dist(X: VectorField, u: Distribution) -> Distribution:
-    """Lie derivative along X, acting on distributions as densities.
-
-    Defined through the adjoint pairing <L u, phi> = -<u, X phi' + X' phi>.
-    Delta derivatives stay deltas; a density contributes X g' plus jump
-    deltas X(p) [g](p) at each flagged discontinuity.
-    """
-    Xc = X.coef
-    deltas: list[DeltaTerm] = []
+def _derivative(u: Distribution) -> Distribution:
+    """The derivative u': delta^(n) to delta^(n+1), a density g to g' plus
+    the jump delta [g](b) at each flagged break b in the domain; unmerged."""
+    deltas = [DeltaTerm(t.point, t.order + 1, t.coeff) for t in u.deltas]
     densities: list[DensityTerm] = []
-    for t in u.deltas:
-        n, a, c = t.order, t.point, t.coeff
-        # row[r]: the coefficient of phi^(r)(a) in (X phi)^(n+1)(a)
-        row = _leibniz(Xc.jets(np.array([a]), n + 1)[:, 0], np.eye(n + 2))[n + 1]
-        for r in range(n + 2):
-            coeff = -c * (-1.0) ** (n - r) * row[r]
-            if coeff != 0.0:
-                deltas.append(DeltaTerm(a, r, coeff))
     for t in u.densities:
         g = t.fn
         if isinstance(g, PiecewiseFn):
-            newpieces = [derivative_fn(p) * Xc for p in g.pieces]
-            densities.append(DensityTerm(
-                PiecewiseFn(g.breaks, newpieces, g.domain), t.coeff))
+            densities.append(DensityTerm(PiecewiseFn(
+                g.breaks, [derivative_fn(p) for p in g.pieces], g.domain), t.coeff))
             for i, b in enumerate(g.breaks):
-                jump = g.pieces[i + 1].jet(b, 0) - g.pieces[i].jet(b, 0)
-                amp = t.coeff * jump * Xc.jet(b, 0)
-                if amp != 0.0:
-                    deltas.append(DeltaTerm(b, 0, amp))
+                if u.domain.contains(b):
+                    jump = g.pieces[i + 1].jet(b, 0) - g.pieces[i].jet(b, 0)
+                    deltas.append(DeltaTerm(b, 0, t.coeff * jump))
         elif g.breaks:
             raise IncompatiblePieces(
                 "density with breaks must be a PiecewiseFn to take Lie derivatives")
         else:
-            densities.append(DensityTerm(derivative_fn(g) * Xc, t.coeff))
-    return _normalize(u.domain, tuple(deltas), tuple(densities))
+            densities.append(DensityTerm(derivative_fn(g), t.coeff))
+    return Distribution(u.domain, tuple(deltas), tuple(densities))
+
+
+def lie_dist(X: VectorField, u: Distribution) -> Distribution:
+    """Lie derivative along X, the module action X u' of X's coefficient:
+    the adjoint pairing <L u, phi> = -<u, X phi' + X' phi>."""
+    return scale_dist(X.coef, _derivative(u))
 
 
 def scale_dist(f: SmoothFn, u: Distribution) -> Distribution:
@@ -271,7 +263,7 @@ def scale_dist(f: SmoothFn, u: Distribution) -> Distribution:
         n, a, c = t.order, t.point, t.coeff
         # row[r]: the coefficient of phi^(r)(a) in (f phi)^(n)(a)
         row = _leibniz(f.jets(np.array([a]), n)[:, 0], np.eye(n + 1))[n]
-        for r in range(n, -1, -1):
+        for r in range(n + 1):
             coeff = c * (-1.0) ** (n - r) * row[r]
             if coeff != 0.0:
                 deltas.append(DeltaTerm(a, r, coeff))
@@ -331,8 +323,7 @@ def restrict_dist(u: Distribution, V: Domain) -> Distribution:
         raise NotContained("restriction target must sit inside the domain")
     deltas = tuple(t for t in u.deltas if V.contains(t.point))
     densities = tuple(
-        DensityTerm(t.fn if t.fn.domain == V else restrict_view(t.fn, V), t.coeff)
-        for t in u.densities)
+        DensityTerm(restrict_view(t.fn, V), t.coeff) for t in u.densities)
     return Distribution(V, deltas, densities)
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import Distribution, _pair_rows, support_dist
+from .dist import Distribution, _pair_rows, regular, support_dist
 from .errors import (
     DomainMismatch,
     IncompatiblePieces,
@@ -43,7 +43,6 @@ from .smooth import (
     VectorField,
     bump,
     constant,
-    integrate,
     partition_of_unity,
     plateau,
     polynomial,
@@ -91,24 +90,22 @@ class Mollifier:
 
 def _moments(f: SmoothFn, exps, r: float) -> list[float]:
     """int_{-r}^{r} t^a f(t) dt for each a in ``exps``, at the moment
-    tolerances, split at 0: one :func:`integrate` row per exponent, ``f``
-    evaluated once per round for every row."""
-    exps = list(exps)
+    tolerances, split at 0: one :func:`_pair_rows` row t^a per exponent."""
+    n = len(exps)
 
-    def fn(rows, ys):
-        ft = f.jet(ys, 0)
+    def row_values(rows, ys):
         out = np.empty_like(ys)
         for i, a in enumerate(exps):
             on = rows == i
-            out[on] = ys[on] ** a * ft[on]
+            out[on] = ys[on] ** a
         return out
 
-    return integrate(fn, [(-r, r)] * len(exps), rel_tol=MOMENT_REL_TOL,
-                     abs_tol=MOMENT_ABS_TOL, points=[(0.0,)] * len(exps)).value.tolist()
+    return _pair_rows(regular(f), n, None, [(-r, r)] * n, [(0.0,)] * n, row_values,
+                      rel_tol=MOMENT_REL_TOL, abs_tol=MOMENT_ABS_TOL).value.tolist()
 
 
 @lru_cache
-def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
+def make_mollifier(q: int) -> Mollifier:
     """Mollifier of order q: unit mass, vanishing moments 1..q.
 
     The ansatz is bump(t) * p(t^2) with p even-polynomial.  One extra
@@ -116,18 +113,16 @@ def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
     bump's own normalized moment, so the leading residual term of every
     induced smoothing operator has a known, comfortably nonzero size and
     low orders stay close to a plain bump (q <= 1 IS the normalized bump).
-    Cached per (q, radius): the result is frozen, and its moment memo
-    holds the same floats for every caller.
+    Supported in [-1, 1].  Cached per q: the result is frozen, and its
+    moment memo holds the same floats for every caller.
     """
     if q < 0:
         raise SingularMomentSystem("moment order must be nonnegative")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise InvalidRadius(f"mollifier radius must be positive, got {radius}")
-    b = bump(0.0, radius)
+    b = bump(0.0, 1.0)
     n = q // 2 + 2
     e_pin = 2 * (n - 1)
     exps = range(0, 4 * (n - 1) + 1, 2)
-    B = dict(zip(exps, _moments(b, exps, radius)))
+    B = dict(zip(exps, _moments(b, exps, 1.0)))
     A = np.array([[B[2 * i + 2 * j] for j in range(n)] for i in range(n)])
     rhs = np.zeros(n)
     rhs[0] = 1.0
@@ -140,8 +135,8 @@ def make_mollifier(q: int, radius: float = 1.0) -> Mollifier:
     coeffs = np.zeros(2 * n - 1)
     coeffs[0::2] = c
     fn = b * polynomial(coeffs)
-    fn = fn * (1.0 / _moments(fn, [0], radius)[0])
-    moll = Mollifier(fn, q, radius)
+    fn = fn * (1.0 / _moments(fn, [0], 1.0)[0])
+    moll = Mollifier(fn, q, 1.0)
     for a in range(2, q + 1, 2):
         got = moll.moment(a)
         if abs(got) > 1e-10:

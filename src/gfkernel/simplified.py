@@ -103,7 +103,7 @@ def sigma_seq(f: SmoothFn, domain: Domain | None = None, *,
               k_grid=DEFAULT_K_GRID) -> SimplifiedRep:
     """Embed a smooth function as a constant family."""
     dom = domain if domain is not None else f.domain
-    g = f if f.domain == dom else restrict_view(f, dom)
+    g = restrict_view(f, dom)
     return SimplifiedRep(dom, tuple(k_grid), tuple(g for _ in k_grid))
 
 
@@ -240,9 +240,7 @@ def section_seq(rep: SimplifiedRep, seq: KernelSequence | None = None, *,
             out = live[0][1]
         else:
             out = lin_comb([f for _, f in live], [c for c, _ in live])
-        if ker.domain != rep.domain:
-            out = restrict_view(out, ker.domain)
-        return out
+        return restrict_view(out, ker.domain)
 
     return GenericElement(evaluator, rep.domain,
                           LocalityTag(CHAIN_NONE, linear=False))

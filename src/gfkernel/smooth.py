@@ -607,9 +607,16 @@ def derivative_fn(f: SmoothFn, order: int = 1) -> SmoothFn:
 
 
 def restrict_view(f: SmoothFn, sub: Domain) -> SmoothFn:
-    """The same jets on a smaller open set."""
+    """The same jets on a smaller open set (``f`` itself on its own domain);
+    a PiecewiseFn keeps only the breaks strictly inside ``sub``'s hull."""
+    if sub == f.domain:
+        return f
     if not sub.is_subset(f.domain):
         raise NotContained("restriction target is not a subset")
+    if isinstance(f, PiecewiseFn):
+        lo, hi = sub.hull()
+        i, j = np.searchsorted(f.breaks, lo, "right"), np.searchsorted(f.breaks, hi, "left")
+        return PiecewiseFn(f.breaks[i:j], f.pieces[i:j + 1], sub)
     return SmoothFn(sub, f._jet_all, support=f.support, jet_cap=f.jet_cap,
                     const_value=f.const_value, breaks=f.breaks)
 
@@ -664,18 +671,6 @@ class TestFn:
 
     def __call__(self, x):
         return self.fn.jet(x, 0)
-
-    def __add__(self, other: "TestFn") -> "TestFn":
-        return TestFn(self.fn + other.fn)
-
-    def __sub__(self, other: "TestFn") -> "TestFn":
-        return TestFn(self.fn - other.fn)
-
-    def __rmul__(self, c: float) -> "TestFn":
-        return TestFn(lin_comb([self.fn], [float(c)]))
-
-    def __neg__(self) -> "TestFn":
-        return TestFn(lin_comb([self.fn], [-1.0]))
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,7 @@ def embedding_residual_sweep(f: SmoothFn, seq: KernelSequence, *,
         v = _plateau_series_sup(f, ker, K, m)
         if v is None:
             diff = eval_basic(Iota(regular(f, domain=seq.domain)), ker) \
-                - (f if f.domain == seq.domain else
-                   restrict_view(f, seq.domain))
+                - restrict_view(f, seq.domain)
             v = seminorm(diff, K, m)
         vals.append(v)
     return fit_order(vals, k_grid)

@@ -2,12 +2,15 @@
 
     python tests/floatdump.py --workload association --seeds 1-60 > dump.txt
 
-Runs one cycle of ``verdictbench/workloads.py`` per seed and prints one
-line per float that reaches a verdict: every value passed to
-``fit_order`` and every ``SweepVerdict`` floor, as signed
-``float.hex``, then the query's answer text.  Two checkouts that print
-the same lines reach the same verdicts from the same floats, bit for
-bit: run it in each and diff the output.  A script, not a test module.
+Runs one cycle of ``verdictbench/workloads.py`` per seed and prints the
+floats that reach each query's verdict as signed ``float.hex``: one line
+per ``fit_order`` call with its values in rate order, and one line per
+``SweepVerdict`` floor, sorted within the query so that the order of the
+calls does not show; then the query's answer text.  Two checkouts that
+print the same lines reach the same verdicts from the same floats, bit
+for bit: run this script in each and diff the output.  It reads the
+``src`` and ``verdictbench`` next to it, so a copy placed in another
+checkout's ``tests`` dumps that checkout.  A script, not a test module.
 """
 
 from __future__ import annotations
@@ -30,21 +33,21 @@ def seeds(spec: str) -> list[int]:
 
 
 def record(out: list) -> None:
-    """Append ("fit", value) for each ``fit_order`` input and ("floor",
-    floor) for each ``SweepVerdict`` to ``out``, through every binding of
-    the library."""
+    """Append a line "fit <values>" for each ``fit_order`` call and
+    "floor <floor>" for each ``SweepVerdict`` to ``out``, in hex, through
+    every binding of the library."""
     from gfkernel import testing
 
     real_fit, real_init = testing.fit_order, testing.SweepVerdict.__init__
 
     def fit_order(values, *args, **kwargs):
         values = list(values)
-        out.extend(("fit", float(v)) for v in values)
+        out.append(" ".join(["fit", *(float(v).hex() for v in values)]))
         return real_fit(values, *args, **kwargs)
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
-        out.append(("floor", float(self.floor)))
+        out.append(f"floor {float(self.floor).hex()}")
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("gfkernel") and getattr(mod, "fit_order", None) is real_fit:
@@ -69,8 +72,8 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         for j, q in enumerate(next(cycles(args.workload, seed))):
             answer, _ = q.run()
-            for kind, v in floats:
-                print(seed, j, q.template, kind, v.hex())
+            for line in sorted(floats):
+                print(seed, j, q.template, line)
             print(seed, j, q.template, "answer", repr(answer), flush=True)
             floats.clear()
     return 0

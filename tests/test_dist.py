@@ -27,7 +27,8 @@ from gfkernel.dist import (
     support_dist,
 )
 from gfkernel.errors import NoConvergence, UnboundedSupport
-from gfkernel.smooth import Domain, bump, constant_field, integrate, polynomial, sin_fn
+from gfkernel.smooth import (
+    Domain, PiecewiseFn, bump, constant_field, integrate, lie_smooth, polynomial, sin_fn)
 from gfkernel.smooth import TestFn as CompactTestFn
 from gfkernel.smooth import VectorField
 from tests.quadref import scalar_integrate
@@ -164,6 +165,41 @@ class TestCalculus:
                          abs_tol=1e-14).value
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_adjoint_identity_on_point_masses_a_step_and_a_density(self):
+        # <L_X u, phi> = -<u, psi>, psi = X phi' + X' phi, with X = x d/dx
+        X = VectorField(polynomial([0.0, 1.0], DOM))
+        masses = [(0.3, 0, 1.5), (0.3, 1, -0.7), (0.3, 2, 0.4),
+                  (-0.5, 0, 0.9), (-0.5, 1, 1.1), (-0.5, 2, -0.6)]
+        u = heaviside(DOM, 0.1) + regular(sin_fn(), domain=DOM)
+        for a, n, c in masses:
+            u = u + delta(a, n, c, DOM)
+        phi = _phi(0.1, 1.2)
+        psi = lie_smooth(X, phi.fn) + phi.fn
+
+        def psi_jet(x, n):  # (x phi)^(n+1) = x phi^(n+1) + (n+1) phi^(n)
+            return x * phi.jet(x, n + 1) + (n + 1) * phi.jet(x, n)
+
+        want = sum(c * (-1.0) ** n * psi_jet(a, n) for a, n, c in masses)
+        want += integrate(lambda x: psi.jet(x, 0), (0.1, 1.3),
+                          rel_tol=1e-12, abs_tol=1e-14).value
+        want += integrate(lambda x: np.sin(x) * psi.jet(x, 0), (-1.1, 1.3),
+                          rel_tol=1e-12, abs_tol=1e-14, points=(0.1,)).value
+        assert pair(lie_dist(X, u), [phi]).value[0] == pytest.approx(-want, abs=1e-10)
+
+    def test_scale_pairs_like_the_product_density(self):
+        f = polynomial([0.5, -1.0, 0.3], DOM)
+        phi = _phi(0.2, 1.1)
+        fu = scale_dist(f, regular(sin_fn(), domain=DOM))
+        want = integrate(lambda x: f.jet(x, 0) * np.sin(x) * phi.jet(x, 0), (-0.9, 1.3),
+                         rel_tol=1e-12, abs_tol=1e-14).value
+        assert pair(fu, [phi]).value[0] == pytest.approx(want, abs=1e-12)
+        fH = scale_dist(f, heaviside(DOM))
+        g = fH.densities[0].fn
+        assert isinstance(g, PiecewiseFn) and g.breaks == (0.0,)
+        want = integrate(lambda x: f.jet(x, 0) * phi.jet(x, 0), (0.0, 1.3),
+                         rel_tol=1e-12, abs_tol=1e-14).value
+        assert pair(fH, [phi]).value[0] == pytest.approx(want, abs=1e-12)
+
     def test_scale_by_smooth_function(self):
         u = scale_dist(sin_fn(), delta(0.5, domain=DOM))
         phi = _phi()
@@ -270,7 +306,33 @@ class TestTransport:
         assert lhs == pytest.approx(dens + point, abs=1e-10)
 
 
+    def test_compact_density_moves_by_change_of_variables(self):
+        img = Domain.interval(-3.0, 5.0)
+        mu = polynomial([1.0, -2.0], DOM)          # 1 - 2x, decreasing
+        mu_inv = polynomial([0.5, -0.5], img)
+        g = bump(0.3, 0.8, DOM)
+        out = pushforward_dist(regular(g, 1.7), mu, mu_inv, img)
+        s = out.densities[0].fn.support
+        assert (s.lo, s.hi) == (mu.jet(1.1, 0), mu.jet(-0.5, 0))
+        assert (s.lo, s.hi) == (pytest.approx(-1.2), pytest.approx(2.0))
+        phi = CompactTestFn(bump(0.5, 2.0, img))
+        # <mu_* u, phi> = <u, phi o mu>
+        want = 1.7 * integrate(lambda x: g.jet(x, 0) * phi.jet(1.0 - 2.0 * x, 0),
+                               (-0.5, 1.1), rel_tol=1e-12, abs_tol=1e-14).value
+        assert pair(out, [phi]).value[0] == pytest.approx(want, abs=1e-10)
+
+
 class TestRestrictionAndSupport:
+    def test_restricted_step_keeps_its_jump(self):
+        V = Domain.interval(-1.0, 1.0)
+        u = restrict_dist(heaviside(DOM), V)
+        du = lie_dist(constant_field(1.0, V), u)
+        assert [(t.point, t.order, t.coeff) for t in du.deltas] == [(0.0, 0, 1.0)]
+        assert support_dist(u) == ((0.0, 1.0),)
+        # a break in a gap of the domain carries no jump
+        W = Domain(((-2.0, -1.0), (1.0, 2.0)))
+        assert lie_dist(constant_field(1.0, W), restrict_dist(heaviside(DOM), W)).deltas == ()
+
     def test_restriction_drops_outside_point_masses(self):
         u = delta(-1.0, domain=DOM) + delta(1.0, domain=DOM)
         v = restrict_dist(u, Domain.interval(0.0, 2.0))

@@ -16,7 +16,7 @@ from gfkernel.errors import (
     NoSeparation,
     NotContained,
 )
-from gfkernel import kernel as kernel_mod
+from gfkernel import dist as dist_mod
 from gfkernel.kernel import (
     APPLY_ABS_TOL,
     APPLY_REL_TOL,
@@ -89,8 +89,8 @@ class TestMollifier:
                               points=(0.0,)).value for a in range(21)]
             assert _moments(m.fn, range(21), m.radius) == want
         calls = []
-        real = kernel_mod.integrate
-        monkeypatch.setattr(kernel_mod, "integrate",
+        real = dist_mod.integrate
+        monkeypatch.setattr(dist_mod, "integrate",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         fresh = Mollifier(m.fn, m.order, m.radius)
         got = [fresh.moment(a) for a in range(SERIES_TERMS + 3)]

@@ -13,6 +13,7 @@ from gfkernel.smooth import (
     CompactInterval,
     Domain,
     DyadicPartition,
+    PiecewiseFn,
     _cuts,
     _product,
     bump,
@@ -216,6 +217,20 @@ class TestRestriction:
         assert f.jet(0.5, 0) == pytest.approx(math.sin(0.5))
         with pytest.raises(OutOfDomain):
             f.jet(1.5, 0)
+
+    def test_restriction_to_the_own_domain_is_the_function(self):
+        f = sin_fn(Domain.interval(-1.0, 1.0))
+        assert restrict_view(f, f.domain) is f
+
+    def test_restricted_piecewise_keeps_the_breaks_inside(self):
+        f = PiecewiseFn([-1.0, 0.0, 1.0], [constant(c) for c in (1.0, 2.0, 3.0, 4.0)],
+                        Domain.interval(-2.0, 2.0))
+        g = restrict_view(f, Domain.interval(-1.0, 0.5))
+        assert isinstance(g, PiecewiseFn)
+        assert g.breaks == (0.0,)
+        assert g.pieces == f.pieces[1:3]
+        assert g.jet(np.array([-0.5, 0.0, 0.25]), 0).tolist() == [2.0, 3.0, 3.0]
+        assert restrict_view(f, Domain.interval(0.2, 0.8)).pieces == f.pieces[2:3]
 
     def test_jet_and_jets_name_the_point_outside(self):
         f = restrict_view(sin_fn(), Domain.interval(-1.0, 1.0))
