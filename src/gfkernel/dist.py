@@ -139,58 +139,71 @@ def _at_rows(fns, idx, ys):
     return out
 
 
-def _pair_rows(u: Distribution, shape, point_jet, windows, breaks, row_values, *,
-               rel_tol: float, abs_tol: float) -> QuadResult:
-    """<u, row> for rows of test functions: value and error arrays of ``shape``.
+def _pair_rows(us: list[Distribution], shape: tuple, point_jet, windows, breaks,
+               row_values, *, rel_tol: float, abs_tol: float) -> QuadResult:
+    """<u, row> for each u of the stack ``us`` and each row of test
+    functions: value and error arrays of shape ``(len(us),) + shape``.
 
     Point masses are exact jets, added first in ``u.deltas`` order:
     ``point_jet(a, n)`` holds every row's n-th derivative at a.  Each
-    (density, row r) pair, r in C order, is one :func:`integrate` row over
-    the overlap of the density's support with ``windows[r]``, cut at both
-    breaks; ``row_values(r, ys)`` gives row r[p] at the nodes ys[p], and
-    each density is evaluated once per round over the new nodes of its rows."""
-    value, error = np.zeros(shape), np.zeros(shape)
-    for t in u.deltas:
-        value += t.coeff * (-1.0) ** t.order * point_jet(t.point, t.order)
-    if not (u.densities and value.size):
+    (u, density, row r) triple, r in C order, is one :func:`integrate` row
+    over the overlap of the density's support with ``windows[r]``, cut at
+    the density's breaks and at ``breaks[s][r]`` for the s-th u; all of
+    them go through one call.  ``row_values(r, ys)`` gives row r[p] at the
+    nodes ys[p], and each density is evaluated once per round over the new
+    nodes of its rows.  Each u then adds its densities in order."""
+    value, error = np.zeros((len(us),) + shape), np.zeros((len(us),) + shape)
+    for s, u in enumerate(us):
+        for t in u.deltas:
+            value[s] += t.coeff * (-1.0) ** t.order * point_jet(t.point, t.order)
+    terms = [(s, t) for s, u in enumerate(us) for t in u.densities]
+    if not (terms and value.size):
         return QuadResult(value, error)
     W = np.asarray(windows, dtype=float)
-    spans, cuts = [], []
-    for t in u.densities:
-        s = t.fn.support
-        spans += (W if s is None else np.column_stack(
-            [np.maximum(W[:, 0], s.lo), np.minimum(W[:, 1], s.hi)])).tolist()
-        cuts += [(*t.fn.breaks, *b) for b in breaks]
+    fns, spans, cuts = [t.fn for _, t in terms], [], []
+    for s, t in terms:
+        lim = t.fn.support
+        spans += (W if lim is None else np.column_stack(
+            [np.maximum(W[:, 0], lim.lo), np.minimum(W[:, 1], lim.hi)])).tolist()
+        cuts += [(*t.fn.breaks, *b) for b in breaks[s]]
 
     def integrand(rows, ys):
-        dens, r = np.divmod(rows, value.size)
-        return _at_rows([t.fn for t in u.densities], dens, ys) * row_values(r, ys)
+        dens, r = np.divmod(rows, value[0].size)
+        return _at_rows(fns, dens, ys) * row_values(r, ys)
 
     res = integrate(integrand, spans, rel_tol=rel_tol, abs_tol=abs_tol, points=cuts)
-    for t, v, e in zip(u.densities, res.value.reshape((-1,) + value.shape),
-                       res.error.reshape((-1,) + value.shape)):
-        value += t.coeff * v
-        error += abs(t.coeff) * e
+    for (s, t), v, e in zip(terms, res.value.reshape((-1,) + shape),
+                            res.error.reshape((-1,) + shape)):
+        value[s] += t.coeff * v
+        error[s] += abs(t.coeff) * e
     return QuadResult(value, error)
 
 
-def pair(u: Distribution, phis, *, points=(), rel_tol: float = PAIR_REL_TOL,
-         abs_tol: float = PAIR_ABS_TOL) -> QuadResult:
+def pair(u: Distribution | list[Distribution], phis, *, points=(),
+         rel_tol: float = PAIR_REL_TOL, abs_tol: float = PAIR_ABS_TOL) -> QuadResult:
     """<u, phi> for each compactly supported smooth phi: value and error arrays.
 
     One :func:`_pair_rows` row per phi over its support, cut at its breaks
-    and at ``points``.  A point mass outside phi's domain reads 0."""
+    and at ``points``.  A point mass outside phi's domain reads 0.  ``u``
+    may also be a stack (a list) of distributions with one tuple of
+    ``points`` each: the arrays then hold one row per distribution, and
+    the whole stack is paired in one quadrature."""
+    one = isinstance(u, Distribution)
+    us, pts = ([u], [points]) if one else (list(u), points or [()] * len(u))
     fs = [phi.fn if isinstance(phi, TestFn) else phi for phi in phis]
     for f in fs:
         if f.support is None:
             raise UnboundedSupport("pairing needs a compactly supported test function")
-        if not u.domain.contains_interval(f.support.lo, f.support.hi, strict=True):
+        if not all(v.domain.contains_interval(f.support.lo, f.support.hi, strict=True)
+                   for v in us):
             raise NotContained("test function support must sit inside the domain")
-    return _pair_rows(
-        u, len(fs),
+    res = _pair_rows(
+        us, (len(fs),),
         lambda a, n: np.array([f.jet(a, n) if f.domain.contains(a) else 0.0 for f in fs]),
-        [(f.support.lo, f.support.hi) for f in fs], [(*f.breaks, *points) for f in fs],
+        [(f.support.lo, f.support.hi) for f in fs],
+        [[(*f.breaks, *p) for f in fs] for p in pts],
         lambda r, ys: _at_rows(fs, r, ys), rel_tol=rel_tol, abs_tol=abs_tol)
+    return QuadResult(res.value[0], res.error[0]) if one else res
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +295,10 @@ def scale_dist(f: SmoothFn, u: Distribution) -> Distribution:
 
 
 def support_dist(u: Distribution) -> tuple[tuple[float, float], ...]:
-    """Closed-in-domain intervals carrying u; points appear as (a, a)."""
+    """Closed-in-domain intervals carrying u; points appear as (a, a).
+    A density's pieces are clipped to each component of the domain."""
     lo, hi = u.domain.hull()
-    pieces: list[tuple[float, float]] = []
-    for t in u.deltas:
-        pieces.append((t.point, t.point))
+    spans: list[tuple[float, float]] = []
     for t in u.densities:
         g = t.fn
         if isinstance(g, PiecewiseFn):
@@ -297,12 +309,14 @@ def support_dist(u: Distribution) -> tuple[tuple[float, float], ...]:
                 a, b = edges[i], edges[i + 1]
                 if p.support is not None:
                     a, b = max(a, p.support.lo), min(b, p.support.hi)
-                if a <= b:
-                    pieces.append((a, b))
+                spans.append((a, b))
         elif g.support is not None:
-            pieces.append((g.support.lo, g.support.hi))
+            spans.append((g.support.lo, g.support.hi))
         else:
-            pieces.append((lo, hi))
+            spans.append((lo, hi))
+    pieces = [(t.point, t.point) for t in u.deltas]
+    pieces += [(max(a, c), min(b, d)) for a, b in spans for c, d in u.domain.intervals
+               if max(a, c) < min(b, d)]
     pieces.sort()
     merged: list[list[float]] = []
     for a, b in pieces:

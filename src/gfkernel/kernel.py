@@ -100,8 +100,9 @@ def _moments(f: SmoothFn, exps, r: float) -> list[float]:
             out[on] = ys[on] ** a
         return out
 
-    return _pair_rows(regular(f), n, None, [(-r, r)] * n, [(0.0,)] * n, row_values,
-                      rel_tol=MOMENT_REL_TOL, abs_tol=MOMENT_ABS_TOL).value.tolist()
+    return _pair_rows([regular(f)], (n,), None, [(-r, r)] * n, [[(0.0,)] * n],
+                      row_values, rel_tol=MOMENT_REL_TOL,
+                      abs_tol=MOMENT_ABS_TOL).value[0].tolist()
 
 
 @lru_cache
@@ -789,9 +790,9 @@ def apply_kernel(ker: Kernel, u) -> SmoothFn:
             # ravel: return_inverse's shape for axis=0 differs across numpy 2.0.x
             return ker.jets(x[ix[p]], m, ys[p], 0)[:, 0][i, inv.ravel()]
 
-        out = _pair_rows(u, (x.size, m + 1), lambda a, n: J[:, n, :, col[a]].T,
-                         windows, [()] * len(windows), row_values,
-                         rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL).value.T
+        out = _pair_rows([u], (x.size, m + 1), lambda a, n: J[:, n, :, col[a]].T,
+                         windows, [[()] * len(windows)], row_values,
+                         rel_tol=APPLY_REL_TOL, abs_tol=APPLY_ABS_TOL).value[0].T
         last[:] = m, x.copy(), out
         return out.copy()
 

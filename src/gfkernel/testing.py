@@ -467,14 +467,15 @@ def associated(A: BasicElement, B: BasicElement | None = None, *,
     R = A if B is None else A - B
     seq = seq if seq is not None else default_family(R.domain, 3)
     battery = battery if battery is not None else default_test_battery(R.domain)
-    hints = {k: _hints_at(R, seq, k) for k in k_grid}
-    vals = [pair(regular(eval_basic(R, seq.at(k))), battery, points=hints[k],
-                 rel_tol=ASSOC_REL_TOL, abs_tol=ASSOC_ABS_TOL).value for k in k_grid]
+    hints = [_hints_at(R, seq, k) for k in k_grid]
+    # every rate in one quadrature: rows (rate, test function)
+    vals = pair([regular(eval_basic(R, seq.at(k))) for k in k_grid], battery,
+                points=hints, rel_tol=ASSOC_REL_TOL, abs_tol=ASSOC_ABS_TOL).value
     # the cancellation noise of a difference scales with its summands, so
     # the floor is calibrated against them individually
     parts = _summands(A) + (_summands(B) if B is not None else [])
-    scales = [_pair_scale([eval_basic(P, seq.at(k)) for P in parts], battery, hints[k])
-              for k in k_grid]
+    scales = [_pair_scale([eval_basic(P, seq.at(k)) for P in parts], battery, h)
+              for k, h in zip(k_grid, hints)]
     sweeps = {}
     for idx in range(len(battery)):
         fit = fit_order([v[idx] for v in vals], k_grid)
@@ -492,9 +493,15 @@ def _summands(R: BasicElement) -> list[BasicElement]:
 def _pair_scale(fns, phis, hints=()) -> list[float]:
     """Coarse upper scale of sum over f of |<f dx, phi>| for each phi, for
     noise-floor calibration: each f is sampled once, at the union of every
-    phi's points (9 across its support, and the hints inside it)."""
+    phi's points (9 across its support, the hints inside it, and 7 inside
+    each gap between consecutive hints, clipped to the support, so that a
+    kernel window p - w, p, p + w is sampled at 17 points and the odd
+    spike of a derivative point mass is seen)."""
     spans = [(phi.support.lo, phi.support.hi) for phi in phis]
-    xs = [np.concatenate([np.linspace(lo, hi, 9), [h for h in hints if lo < h < hi]])
+    gaps = list(zip(hints[:-1], hints[1:]))
+    xs = [np.concatenate([np.linspace(lo, hi, 9), [h for h in hints if lo < h < hi],
+                          *(np.linspace(max(a, lo), min(b, hi), 9)[1:-1]
+                            for a, b in gaps if max(a, lo) < min(b, hi))])
           for lo, hi in spans]
     cut = np.cumsum([x.size for x in xs])[:-1]
     fvals = [np.split(f.jet(np.concatenate(xs), 0), cut) for f in fns]

@@ -339,6 +339,15 @@ class TestRestrictionAndSupport:
         assert len(v.deltas) == 1
         assert v.deltas[0].point == 1.0
 
+    def test_support_is_clipped_to_the_components(self):
+        # the step's pieces end at the components' edges, not at the hull's
+        W = Domain(((-2.0, -1.0), (1.0, 2.0)))
+        assert support_dist(restrict_dist(heaviside(DOM), W)) == ((1.0, 2.0),)
+        assert support_dist(restrict_dist(heaviside(DOM, jump_at=-1.5), W)) == (
+            (-1.5, -1.0), (1.0, 2.0))
+        dens = restrict_dist(regular(bump(0.0, 1.9, DOM)), W)
+        assert support_dist(dens) == ((-1.9, -1.0), (1.0, 1.9))
+
     def test_support_reported(self):
         u = delta(0.5, domain=DOM)
         (lo, hi), = support_dist(u)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gfkernel import dist as dist_module
 from gfkernel import smooth
 from gfkernel.basic import (
     affine_diffeo, as_generic, eval_basic, iota, lie_hat, lie_tilde, pushforward, sigma)
@@ -321,49 +322,89 @@ def _assoc_pair(fn, phis, hints):
 
 
 class TestBatchedPairing:
-    """``associated`` pairs every battery row of a rate in one quadrature;
+    """``associated`` pairs every (rate, battery row) in one quadrature;
     each row must keep the floats of its own scalar integral."""
 
-    @given(st.floats(-0.5, 0.5), st.integers(0, 1), st.booleans(),
-           st.sampled_from([8, 16, 32]),
+    @given(st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(0, 1),
+                              st.sampled_from(["deltas", "density", "both"]),
+                              st.booleans(), st.sampled_from([8, 16, 32]),
+                              st.lists(st.floats(-2.0, 2.0), max_size=4)),
+                    min_size=1, max_size=5),
            st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
-           st.lists(st.floats(-2.0, 2.0), max_size=4), st.integers(1, 12))
-    def test_rows_equal_the_scalar_loop(self, q3_seq, p, order, smooth_part, k,
-                                        picks, hints, budget):
-        R = iota(delta(p, order=order, domain=DOM))
-        if smooth_part:
-            R = R + sigma(sin_fn(), DOM)
-        fn = eval_basic(R, q3_seq.at(k))
+           st.integers(1, 12))
+    def test_rows_equal_the_scalar_loop(self, q3_seq, draws, picks, budget):
         battery = default_test_battery(DOM)
         phis = [battery[i] for i in picks]
+        us, hints, fns = [], [], []
+        for p, order, kind, smooth_part, k, h in draws:
+            R = iota(delta(p, order=order, domain=DOM))
+            if smooth_part:
+                R = R + sigma(sin_fn(), DOM)
+            u, fn = delta(p, order=order, coeff=-1.5, domain=DOM), None
+            if kind != "deltas":
+                fn = eval_basic(R, q3_seq.at(k))
+                u = regular(fn) + u if kind == "both" else regular(fn)
+            us.append(u)
+            hints.append(tuple(h))
+            fns.append(fn)
 
-        def reference(phi):
-            # the span is supp phi cut down to fn's support
+        def reference(u, fn, phi, h):
+            # point masses first, then the density over supp phi cut down
+            # to fn's support
+            want = 0.0
+            for t in u.deltas:
+                want += t.coeff * (-1.0) ** t.order * phi.jet(t.point, t.order)
+            if fn is None:
+                return want
             lo, hi = phi.support.lo, phi.support.hi
             if fn.support is not None:
                 lo, hi = max(lo, fn.support.lo), min(hi, fn.support.hi)
-            return scalar_integrate(lambda x: fn.jet(x, 0) * phi.jet(x, 0), (lo, hi),
-                                    rel_tol=1e-10, abs_tol=1e-13,
-                                    points=(*fn.breaks, *phi.fn.breaks, *hints))
+            return want + 1.0 * scalar_integrate(
+                lambda x: fn.jet(x, 0) * phi.jet(x, 0), (lo, hi), rel_tol=1e-10,
+                abs_tol=1e-13, points=(*fn.breaks, *phi.fn.breaks, *h)).value
 
-        got = _assoc_pair(fn, phis, hints)
-        want = [reference(phi).value for phi in phis]
-        assert got == want
-        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+        def stacked():
+            return pair(us, phis, points=hints, rel_tol=ASSOC_REL_TOL,
+                        abs_tol=ASSOC_ABS_TOL).value
+
+        got = stacked()
+        assert got.shape == (len(us), len(phis))
+        for u, fn, h, block in zip(us, fns, hints, got):
+            own = pair(u, phis, points=h, rel_tol=ASSOC_REL_TOL, abs_tol=ASSOC_ABS_TOL).value
+            want = [reference(u, fn, phi, h) for phi in phis]
+            assert block.tolist() == own.tolist() == want
+            assert np.signbit(block).tolist() == np.signbit(own).tolist() \
+                == np.signbit(want).tolist()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(smooth, "MAX_PANELS", budget)
             failing = []
-            for phi in phis:
-                try:
-                    reference(phi)
-                except NoConvergence:
-                    failing.append(phi)
+            for u, fn, h in zip(us, fns, hints):
+                for phi in phis:
+                    try:
+                        reference(u, fn, phi, h)
+                    except NoConvergence:
+                        failing.append(phi)
             try:
-                _assoc_pair(fn, phis, hints)
+                stacked()
                 raised = False
             except NoConvergence:
                 raised = True
         assert raised == bool(failing)
+
+    def test_association_makes_one_quadrature_per_query(self, monkeypatch):
+        A = iota(delta(0.151, 1, -1.464, DOM))
+        B = lie_hat(X1, iota(delta(0.151, 0, -1.464, DOM)))
+        associated(A, B)  # the mollifier's moments are computed once, here
+        calls = []
+
+        def counting(fn, interval, **kwargs):
+            calls.append(len(interval))
+            return smooth.integrate(fn, interval, **kwargs)
+
+        monkeypatch.setattr(dist_module, "integrate", counting)
+        assert associated(A, B).verdict
+        # rows (rate, test function): one density per rate
+        assert calls == [len(DEFAULT_K_GRID) * len(default_test_battery(DOM))]
 
     @pytest.mark.parametrize("A, B", [
         # the association workload's templates, at parameters its seeds draw
