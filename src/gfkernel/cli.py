@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -549,6 +550,7 @@ def _export_csv(cfg: dict) -> str:
 # entry point
 
 
+@cache  # parse_args leaves the parser as it was; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gfkernel",

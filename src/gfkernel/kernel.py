@@ -289,12 +289,55 @@ def _profile_for(domain: Domain, mbar: float):
     return prof, [p for _, p, _ in comps]
 
 
+def _series_rows(rj, sc, yrel, mx: int, my: int) -> np.ndarray:
+    """Rows d_x^i d_y^j phi(x, y) of s(x) rho(s(x)(y - x)) by truncated
+    series in h = x' - x: rj holds rho's jets 0..mx+my at u = s(x)(y - x),
+    sc the h-series of s(x+h), shape (mx+1, nx, 1)."""
+    # u(h; y) = s(x+h) (y - x - h) as an h-series per (x, y) pair; the
+    # composition never reads its constant term
+    u = np.zeros((mx + 1,) + yrel.shape)
+    for i in range(1, mx + 1):
+        u[i] = sc[i] * yrel
+        u[i] -= sc[i - 1]
+    fact = _FACT[: mx + 1, None, None]
+    out = np.empty((mx + 1, my + 1) + yrel.shape)
+    spow = sc
+    for j in range(my + 1):
+        if j:
+            spow = _series_mul(spow, sc)
+        comp = _series_compose(rj[j: j + mx + 1] / fact, u)
+        out[:, j] = _series_mul(comp, np.broadcast_to(spow, comp.shape)) * fact
+    return out
+
+
+def _plateau_rows(rj, s, mx: int, my: int) -> np.ndarray:
+    """:func:`_series_rows` where s(x) is a constant s, shape (nx, 1):
+    (-1)^i s^(1+i+j) rho^(i+j)(u), in the series path's floats.
+
+    There u's h-series is (u, -s, +-0.0, ...), so composed coefficient i is
+    rho^(i+j)/i! multiplied i times by -s, and each series product only
+    adds exact zeros to one term; its 0.0 start is the 0.0 + below, which
+    gives a -0.0 the +0.0 of those sums.
+    """
+    fact = _FACT[: mx + 1, None, None, None]
+    c = rj[np.add.outer(np.arange(mx + 1), np.arange(my + 1))] / fact
+    for i in range(1, mx + 1):
+        c[i:] *= -s
+    spow = np.empty((my + 1,) + s.shape)
+    spow[0] = s
+    for j in range(1, my + 1):
+        spow[j] = spow[j - 1] * s
+    return (0.0 + c * spow) * fact
+
+
 class ScaleKernel(Kernel):
     """phi(x, y) = s(x) rho(s(x)(y - x)) with s(x) = k r / m(x).
 
     On the profile's plateau the kernel is an exact scaled translate of
-    the mollifier; everywhere else the scale varies smoothly and the
-    support [x - m(x)/k, x + m(x)/k] stays inside the domain.
+    the mollifier, and ``jets`` computes its rows there in closed form;
+    everywhere else the scale varies smoothly, the rows take truncated
+    series, and the support [x - m(x)/k, x + m(x)/k] stays inside the
+    domain.
     """
 
     def __init__(self, domain: Domain, moll: Mollifier, profile: SmoothFn,
@@ -322,26 +365,32 @@ class ScaleKernel(Kernel):
         kr[0] = self.k * self.moll.radius
         return _series_div(kr, mc)
 
+    def _plateau_scales(self, xs: np.ndarray) -> np.ndarray:
+        """s = k r / mb at each x in a closed plateau [lo, hi], NaN elsewhere."""
+        s = np.full(xs.shape, np.nan)
+        for lo, hi, mb in self.plateaus:
+            s[(xs >= lo) & (xs <= hi)] = self.k * self.moll.radius / mb
+        return s
+
     def jets(self, x, mx: int, ys, my: int) -> np.ndarray:
         xs, Y, scalar = _rows(x, ys)
-        rho = self.moll.fn
-        sc = self._scale_series(xs, mx)[:, :, None]
+        s = self._plateau_scales(xs)
+        on = ~np.isnan(s)
+        off = ~on
+        # h-series of s(x+h): on a plateau the profile's jets are exactly
+        # (mb, 0, 0, ...), and _scale_series would give (s, +0.0, ...)
+        sc = np.zeros((mx + 1, xs.size))
+        sc[0] = s
+        if off.any():
+            sc[:, off] = self._scale_series(xs[off], mx)
+        sc = sc[:, :, None]
         yrel = Y - xs[:, None]
-        # u(h; y) = s(x+h) (y - x - h) as an h-series per (x, y) pair
-        u = np.zeros((mx + 1,) + Y.shape)
-        for i in range(mx + 1):
-            u[i] = sc[i] * yrel
-            if i >= 1:
-                u[i] -= sc[i - 1]
-        fact = _FACT[: mx + 1, None, None]
-        spow = sc
+        rj = self.moll.fn.jets(sc[0] * yrel, mx + my)
         out = np.empty((mx + 1, my + 1) + Y.shape)
-        rj = rho.jets(u[0], mx + my)
-        for j in range(my + 1):
-            comp = _series_compose(rj[j: j + mx + 1] / fact, u)
-            col = _series_mul(comp, np.broadcast_to(spow, comp.shape))
-            out[:, j] = col * fact
-            spow = _series_mul(spow, sc)
+        if on.any():
+            out[:, :, on] = _plateau_rows(rj[:, on], sc[0, on], mx, my)
+        if off.any():
+            out[:, :, off] = _series_rows(rj[:, off], sc[:, off], yrel[off], mx, my)
         return out[:, :, 0] if scalar else out
 
     def y_window(self, x):
@@ -354,10 +403,8 @@ class ScaleKernel(Kernel):
         return max(mb for _, _, mb in self.plateaus) / self.k
 
     def plateau_scale(self, x: float) -> float | None:
-        for lo, hi, mb in self.plateaus:
-            if lo <= x <= hi:
-                return self.k * self.moll.radius / mb
-        return None
+        s = float(self._plateau_scales(np.array([x], dtype=float))[0])
+        return None if math.isnan(s) else s
 
 
 class TranslationKernel(Kernel):
@@ -785,10 +832,14 @@ def apply_kernel(ker: Kernel, u) -> SmoothFn:
             # and density at x that visits a panel shares one evaluation
             # per round; a kernel row's floats do not depend on its batch
             ix, i = np.divmod(r, m + 1)
-            _, p, inv = np.unique(np.column_stack([ix, ys[:, 0], ys[:, -1]]), axis=0,
-                                  return_index=True, return_inverse=True)
-            # ravel: return_inverse's shape for axis=0 differs across numpy 2.0.x
-            return ker.jets(x[ix[p]], m, ys[p], 0)[:, 0][i, inv.ravel()]
+            keys = (ys[:, -1], ys[:, 0], ix)
+            o = np.lexsort(keys)  # stable: a run starts at its first row
+            new = np.ones(o.size, dtype=bool)
+            for key in keys:
+                new[1:] |= key[o[1:]] != key[o[:-1]]
+            inv = np.empty_like(o)
+            inv[o] = np.cumsum(new) - 1
+            return ker.jets(x[ix[o[new]]], m, ys[o[new]], 0)[:, 0][i, inv]
 
         out = _pair_rows([u], (x.size, m + 1), lambda a, n: J[:, n, :, col[a]].T,
                          windows, [[()] * len(windows)], row_values,

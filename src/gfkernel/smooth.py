@@ -233,14 +233,20 @@ class SmoothFn:
     # -- evaluation --------------------------------------------------------
 
     def _masked_all(self, x: np.ndarray, m: int) -> np.ndarray:
-        """All jets 0..m at in-domain points, with the support mask applied."""
-        if self.support is not None:
-            inside = self.support.contains(x)
-            vals = np.zeros((m + 1, x.size))
-            if inside.any():
-                vals[:, inside] = self._jet_all(x[inside], m)
-            return vals
-        return self._jet_all(x, m)
+        """All jets 0..m at in-domain points, with the support mask applied.
+
+        With every point inside the support this is ``_jet_all``'s own
+        array: a point's jets do not depend on its batch, and no caller
+        writes into the array it gets."""
+        if self.support is None:
+            return self._jet_all(x, m)
+        inside = self.support.contains(x)
+        if inside.all() and x.size:
+            return self._jet_all(x, m)
+        vals = np.zeros((m + 1, x.size))
+        if inside.any():
+            vals[:, inside] = self._jet_all(x[inside], m)
+        return vals
 
     def _checked_all(self, x, m: int) -> np.ndarray:
         """All jets 0..m, shape (m+1,) + x.shape, after the order, jet-cap

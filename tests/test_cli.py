@@ -1,5 +1,6 @@
 """Command line: expression grammar, config files, exit codes, export."""
 
+import json
 import subprocess
 import sys
 import time
@@ -332,3 +333,35 @@ def test_console_script_runs(quick_cfg):
         capture_output=True, text=True)
     assert got.returncode == 0
     assert "moderate: True" in got.stdout
+
+
+_MAIN_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from gfkernel.cli import main
+got = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    got.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(got))
+"""
+
+
+def test_main_calls_in_one_process_answer_like_fresh_interpreters(quick_cfg):
+    # the parser is built once per process; every later call, after a
+    # usage error too, must print and exit as a fresh interpreter does
+    runs = [["--config", quick_cfg, "classify", "iota(delta(0.1))"],
+            ["--no-such-option", "demo"],
+            ["--config", quick_cfg, "sheaf-demo"],
+            ["classify"],
+            ["--config", quick_cfg, "classify", "iota(delta(0.1))"]]
+    one = subprocess.run([sys.executable, "-c", _MAIN_IN_ONE_PROCESS, json.dumps(runs)],
+                         capture_output=True, text=True, check=True)
+    fresh = [subprocess.run([sys.executable, "-m", "gfkernel.cli", *argv],
+                            capture_output=True, text=True) for argv in runs]
+    assert json.loads(one.stdout) == [[f.stdout, f.stderr, f.returncode] for f in fresh]
+    assert [f.returncode for f in fresh] == [0, 2, 0, 2, 0]

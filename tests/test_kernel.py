@@ -27,6 +27,8 @@ from gfkernel.kernel import (
     Mollifier,
     ConstantKernel,
     GluedKernel,
+    Kernel,
+    LieKernel,
     PullbackKernel,
     TranslationKernel,
     apply_kernel,
@@ -54,6 +56,7 @@ from gfkernel.smooth import (
     sin_fn,
     smoothstep,
 )
+from tests.kernelref import series_jets
 from tests.quadref import scalar_integrate
 
 DOM = Domain.interval(-2.0, 2.0)
@@ -581,3 +584,71 @@ def test_batched_pairing_keeps_the_panel_budget(q3_seq, monkeypatch):
         _reference_pairing(ker, u, xs, 1)
     with pytest.raises(NoConvergence):
         apply_kernel(ker, u)._jet_all(xs, 1)
+
+
+# ---------------------------------------------------------------------------
+# the standard kernel's rows on its plateau, in closed form, against the
+# series path every row used to take
+
+WORKLOAD_DOMAINS = (DOM, Domain.interval(-1.0, 1.0))
+
+
+def _bits_equal(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=80)
+@given(q=st.integers(1, 3), d=st.sampled_from(range(len(WORKLOAD_DOMAINS))),
+       k=st.integers(1, 200), mx=st.integers(0, 12), my=st.integers(0, 12),
+       data=st.data())
+def test_plateau_rows_are_the_series_rows_bit_for_bit(q, d, k, mx, my, data):
+    ker = standard_sequence(WORKLOAD_DOMAINS[d], make_mollifier(q)).at(k)
+    my = min(my, ker.jet_cap - mx)
+    lo, hi, mb = ker.plateaus[0]
+    x = data.draw(st.one_of(st.sampled_from([lo, hi, 0.5 * (lo + hi)]),
+                            st.floats(lo, hi)), label="x")
+    # y = x, the window's ends, and points inside and outside the window
+    fracs = data.draw(st.lists(st.floats(-1.5, 1.5), max_size=12), label="fracs")
+    ys = x + mb / k * np.array([0.0, -1.0, 1.0] + fracs)
+    assert ker.plateau_scale(x) is not None
+    assert _bits_equal(ker.jets(x, mx, ys, my), series_jets(ker, x, mx, ys, my))
+
+
+@pytest.mark.parametrize("k", [8, 64])
+@pytest.mark.parametrize("d", range(len(WORKLOAD_DOMAINS)))
+def test_mixed_plateau_batches_are_the_per_row_calls(d, k):
+    dom = WORKLOAD_DOMAINS[d]
+    ker = standard_sequence(dom, make_mollifier(3)).at(k)
+    lo, hi, _ = ker.plateaus[0]
+    a, b = dom.intervals[0]
+    # both plateau ends, their neighbours off it, the tapers and the middle
+    xs = np.array([lo, hi, np.nextafter(lo, a), np.nextafter(hi, b),
+                   a + 0.01, b - 0.01, 0.5 * (a + lo), 0.5 * (hi + b), 0.5 * (lo + hi)])
+    Y = np.array([np.linspace(w.lo - 0.01, w.hi + 0.01, 9) for w in
+                  (ker.y_window(float(x)) for x in xs)])
+    for mx, my in ((0, 0), (2, 1), (3, 2)):
+        got = ker.jets(xs, mx, Y, my)
+        assert _bits_equal(got, series_jets(ker, xs, mx, Y, my))
+        want = np.stack([ker.jets(float(x), mx, y, my) for x, y in zip(xs, Y)], axis=2)
+        assert _bits_equal(got, want)
+
+
+class _SeriesKernel(Kernel):
+    """A standard kernel whose every row takes the series path."""
+
+    def __init__(self, ker):
+        self.ker, self.domain, self.jet_cap = ker, ker.domain, ker.jet_cap
+
+    def jets(self, x, mx, ys, my):
+        return series_jets(self.ker, x, mx, ys, my)
+
+
+@pytest.mark.parametrize("k", [8, 64])
+def test_lie_kernel_rows_over_the_closed_form_are_unchanged(q3_seq, k):
+    X = VectorField(polynomial([0.3, 1.0, 0.5], DOM))
+    ker = q3_seq.at(k)
+    xs = np.array([-1.9, -0.8, -0.3, 0.0, 0.8, 1.5])
+    Y = np.array([np.linspace(w.lo, w.hi, 11) for w in
+                  (ker.y_window(float(x)) for x in xs)])
+    got = LieKernel(X, ker).jets(xs, 2, Y, 1)
+    assert _bits_equal(got, LieKernel(X, _SeriesKernel(ker)).jets(xs, 2, Y, 1))

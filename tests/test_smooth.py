@@ -154,6 +154,47 @@ class TestChainJets:
             assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
 
 
+def _zero_fill_masked_all(self, x, m):
+    # the support mask with a zero fill at every call, in or out of support
+    if self.support is None:
+        return self._jet_all(x, m)
+    inside = self.support.contains(x)
+    vals = np.zeros((m + 1, x.size))
+    if inside.any():
+        vals[:, inside] = self._jet_all(x[inside], m)
+    return vals
+
+
+# layered functions that carry one support through every layer, as the
+# mollifier does, and ones whose layers carry different supports
+MASKED_FNS = {
+    "bump": lambda: bump(0.1, 0.7),
+    "plateau": lambda: plateau(-0.3, 0.2, 0.4),
+    "mollifier": lambda: lin_comb([_product(bump(0.0, 1.0), polynomial([1.0, 0.0, -2.0]))],
+                                  [1.3]),
+    "product of two supports": lambda: bump(0.0, 1.0) * plateau(0.2, 0.4, 0.3),
+    "sum of two supports": lambda: bump(-0.5, 0.6) + 2.0 * bump(0.4, 0.5),
+    "derivative": lambda: derivative_fn(bump(0.0, 0.9), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASKED_FNS))
+@given(st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=8), st.integers(0, 6),
+       st.booleans())
+def test_support_pass_through_equals_the_zero_fill(name, xs, m, ends):
+    f = MASKED_FNS[name]()
+    lo, hi = f.support.lo, f.support.hi
+    # all points inside the support, or some outside it too
+    x = np.array(xs + ([lo, hi] if ends else []))
+    x = np.clip(x, lo, hi) if ends else x
+    got = f.jets(x, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smooth.SmoothFn, "_masked_all", _zero_fill_masked_all)
+        want = f.jets(x, m)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestCutoffs:
     def test_bump_support_and_flat_edges(self):
         b = bump(0.3, 0.8)
